@@ -8,7 +8,7 @@ from .errors import (
     NotGeneratingError,
     SingularFError,
 )
-from .intmat import Mat2Z, Vec2Z, hcf_all, mat2z_pow, theta_order, theta_power
+from .intmat import Mat2Z, Vec2Z, hcf_all, mat2z_pow, theta_order, theta_power, theta_powers
 from .liegroup import (
     BASIS_E,
     BASIS_F,
@@ -28,14 +28,12 @@ from .liegroup import (
     lattice_fields,
     make_group,
     phi_of,
-    structure_constants_fd,
     two_exp_decompose,
 )
 from .autos import (
     GroupAutoParams,
     LieAlgebraAuto,
     apply_group_auto,
-    gradient_at_identity,
     group_auto_from_algebra,
     is_algebra_auto,
     pts_factor,
@@ -56,8 +54,6 @@ from .discrete import (
     rmat,
     tau_vectors,
     word_at,
-    word_closure,
-    words_reach,
 )
 from .symmetry import (
     DAutomorphism,

@@ -57,28 +57,10 @@ class LieAlgebraAuto:
 
 
 @dataclass(frozen=True)
-class GroupAutoParams:
+class GroupAutoParams(LieAlgebraAuto):
     """The same five parameters acting on the group, bound to a branch rate k."""
 
-    epsilon: int
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
     k: float
-
-    def __post_init__(self):
-        if self.epsilon not in (0, 1):
-            raise InvalidParametersError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        if self.alpha**2 + self.beta**2 <= _DEGENERATE_TOL:
-            raise InvalidParametersError("alpha^2 + beta^2 must be nonzero")
-
-    @property
-    def zeta(self) -> int:
-        return 1 if self.epsilon == 0 else -1
-
-    def algebra(self) -> LieAlgebraAuto:
-        return LieAlgebraAuto(self.epsilon, self.alpha, self.beta, self.gamma, self.delta)
 
 
 def group_auto_from_algebra(L: LieAlgebraAuto, k: float) -> GroupAutoParams:
@@ -157,16 +139,3 @@ def apply_group_auto_batch(phi: GroupAutoParams, V: np.ndarray) -> np.ndarray:
     if phi.epsilon == 0:
         return np.stack([t1, t2, V[:, 2]], axis=1)
     return np.stack([t2, t1, -V[:, 2]], axis=1)
-
-
-def gradient_at_identity(g: S2Group, phi: GroupAutoParams, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the group automorphism at the identity."""
-    grad = np.zeros((3, 3))
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = h
-        fp = apply_group_auto_batch(phi, step[None, :])[0]
-        fm = apply_group_auto_batch(phi, -step[None, :])[0]
-        grad[:, j] = (fp - fm) / (2.0 * h)
-    return grad
-

@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from functools import partial
 
-from .errors import InvalidParametersError, NotAnAutomorphismError
+from .errors import NotAnAutomorphismError
 from .intmat import Mat2Z, theta_order
-from .liegroup import first_branches, make_group
-from .discrete import DElement, GeneratorTriple, embed_int, generates_d
+from .liegroup import branch_k, first_branches, make_group
+from .discrete import DElement, GeneratorTriple, embed_int
 from .symmetry import (
     DAutomorphism,
     apply_d_automorphism,
@@ -36,19 +36,6 @@ from .extension import uniqueness_probe, verify_extension
 
 JSON_FORMAT = "json"
 TEXT_FORMAT = "text"
-
-
-@dataclass
-class JobSpec:
-    """Parsed invocation: which command, on which data."""
-
-    command: str
-    theta: Mat2Z
-    n: int | None
-    triple: GeneratorTriple | None
-    auto: DAutomorphism | None
-    box: int
-    fmt: str
 
 
 def _fmt_float(x: float) -> str:
@@ -103,22 +90,12 @@ def _parse_ints(text: str, count: int, what: str) -> list[int]:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def _parse_theta(text: str) -> Mat2Z:
-    a, b, c, d = _parse_ints(text, 4, "--theta")
-    return Mat2Z(a, b, c, d)
+def _parse_mat(text: str, flag: str) -> Mat2Z:
+    return Mat2Z(*_parse_ints(text, 4, flag))
 
 
 def _parse_word(text: str, flag: str) -> DElement:
-    q, m, n = _parse_ints(text, 3, flag)
-    return DElement(q, m, n)
-
-
-def _mat_rows(m: Mat2Z) -> list[list[int]]:
-    return [[m.a, m.b], [m.c, m.d]]
-
-
-def _matrix_list(a) -> list[list[float]]:
-    return [[float(v) for v in row] for row in a]
+    return DElement(*_parse_ints(text, 3, flag))
 
 
 def _default_branch(theta: Mat2Z) -> int:
@@ -130,44 +107,42 @@ def _parse_apply(text: str) -> DAutomorphism:
     return DAutomorphism(zeta, Mat2Z(a, b, c, d), beta1, gamma1)
 
 
-def cmd_classify_theta(spec: JobSpec) -> int:
-    theta = spec.theta
+def cmd_classify_theta(theta: Mat2Z, n: int | None, fmt: str) -> int:
     p = theta_order(theta)
-    n = spec.n if spec.n is not None else _default_branch(theta)
+    if n is None:
+        n = _default_branch(theta)
     g = make_group(theta, n)
     branches = first_branches(theta.trace(), 2)
     sym = centralizer(theta)
     rev = reversing_group(theta)
     report = {
         "command": "classify-theta",
-        "theta": _mat_rows(theta),
+        "theta": theta.rows(),
         "trace": theta.trace(),
         "p": p,
         "branches": [
-            {"n": bn, "k": make_group(theta, bn).k} for bn in branches
+            {"n": bn, "k": branch_k(theta.trace(), bn)} for bn in branches
         ],
         "n": n,
         "k": g.k,
         "S_label": sym.label,
         "S_order": sym.order,
-        "S_elements": None if sym.elements is None else [_mat_rows(m) for m in sym.elements],
+        "S_elements": None if sym.elements is None else [m.rows() for m in sym.elements],
         "R_label": rev.label,
         "R_order": rev.order,
-        "R_elements": None if rev.elements is None else [_mat_rows(m) for m in rev.elements],
-        "dislocation_density": _matrix_list(g.S),
+        "R_elements": None if rev.elements is None else [m.rows() for m in rev.elements],
+        "dislocation_density": g.S.tolist(),
     }
-    _emit(report, spec.fmt)
+    _emit(report, fmt)
     return 0
 
 
-def cmd_check_generators(spec: JobSpec) -> int:
-    theta = spec.theta
-    triple = spec.triple
-    cert = generates_d(theta, triple)
+def cmd_check_generators(theta: Mat2Z, triple: GeneratorTriple, fmt: str) -> int:
     result = classify_symmetry(theta, triple)
+    cert = result.certificate
     report = {
         "command": "check-generators",
-        "theta": _mat_rows(theta),
+        "theta": theta.rows(),
         "triple": [[w.q, w.m, w.n] for w in triple.words],
         "generates": cert.generates,
         "violated": cert.violated,
@@ -176,7 +151,7 @@ def cmd_check_generators(spec: JobSpec) -> int:
         else {
             "beta1": cert.reduced.beta1,
             "gamma1": cert.reduced.gamma1,
-            "matrix": _mat_rows(cert.reduced.exponents),
+            "matrix": cert.reduced.exponents.rows(),
         },
         "taus": None if cert.taus is None else [list(t) for t in cert.taus],
         "class": None if not cert.generates else result.kind,
@@ -185,30 +160,29 @@ def cmd_check_generators(spec: JobSpec) -> int:
         if result.automorphism is None
         else {
             "zeta": result.automorphism.zeta,
-            "chi": _mat_rows(result.automorphism.chi),
+            "chi": result.automorphism.chi.rows(),
             "beta1": result.automorphism.beta1,
             "gamma1": result.automorphism.gamma1,
         },
     }
-    _emit(report, spec.fmt)
+    _emit(report, fmt)
     return 0
 
 
-def cmd_extend(spec: JobSpec) -> int:
-    theta = spec.theta
-    n = spec.n if spec.n is not None else _default_branch(theta)
+def cmd_extend(theta: Mat2Z, n: int | None, phi_d: DAutomorphism, box: int, fmt: str) -> int:
+    if n is None:
+        n = _default_branch(theta)
     g = make_group(theta, n)
-    phi_d = spec.auto
     lifted = extend_auto(g, phi_d)
-    check = verify_extension(g, phi_d, lifted, spec.box)
+    check = verify_extension(g, phi_d, lifted, box)
     probe = uniqueness_probe(g, phi_d)
     report = {
         "command": "extend",
-        "theta": _mat_rows(theta),
+        "theta": theta.rows(),
         "n": n,
         "k": g.k,
         "zeta": phi_d.zeta,
-        "chi": _mat_rows(phi_d.chi),
+        "chi": phi_d.chi.rows(),
         "beta1": phi_d.beta1,
         "gamma1": phi_d.gamma1,
         "epsilon": lifted.epsilon,
@@ -216,44 +190,35 @@ def cmd_extend(spec: JobSpec) -> int:
         "beta": lifted.beta,
         "gamma": lifted.gamma,
         "delta": lifted.delta,
-        "box": spec.box,
+        "box": box,
         "max_discrepancy": check.max_discrepancy,
         "uniqueness_max_diff": probe.max_param_diff,
         "pass": check.passed,
     }
-    _emit(report, spec.fmt)
+    _emit(report, fmt)
     return 0
 
 
-def cmd_lattice_points(spec: JobSpec) -> int:
-    theta = spec.theta
+def cmd_lattice_points(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: str) -> int:
     theta_order(theta)
-    span = range(-spec.box, spec.box + 1)
+    span = range(-box, box + 1)
     for q in span:
         for m in span:
             for n in span:
                 word = DElement(q, m, n)
                 x1, x2, x3 = embed_int(theta, word)
                 record = {"q": q, "m": m, "n": n, "x1": x1, "x2": x2, "x3": x3}
-                if spec.auto is not None:
-                    img = apply_d_automorphism(theta, spec.auto, word)
+                if auto is not None:
+                    img = apply_d_automorphism(theta, auto, word)
                     y1, y2, y3 = embed_int(theta, img)
                     record.update(
                         {"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3}
                     )
-                if spec.fmt == JSON_FORMAT:
+                if fmt == JSON_FORMAT:
                     print(dump_json(record))
                 else:
                     print("\t".join(f"{k}={dump_json(v)}" for k, v in record.items()))
     return 0
-
-
-_COMMANDS = {
-    "classify-theta": cmd_classify_theta,
-    "check-generators": cmd_check_generators,
-    "extend": cmd_extend,
-    "lattice-points": cmd_lattice_points,
-}
 
 
 # values like "-1,0,0,-1" must parse as arguments, not flags
@@ -306,41 +271,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        theta = _parse_theta(args.theta)
-        triple = None
-        if args.command == "check-generators":
-            triple = GeneratorTriple(
-                _parse_word(args.g1, "--g1"),
-                _parse_word(args.g2, "--g2"),
-                _parse_word(args.g3, "--g3"),
-            )
-        auto = None
-        if args.command == "extend":
-            auto = DAutomorphism(args.zeta, Mat2Z(*_parse_ints(args.chi, 4, "--chi")), args.beta1, args.gamma1)
-        elif args.command == "lattice-points" and args.apply is not None:
-            auto = _parse_apply(args.apply)
+        theta = _parse_mat(args.theta, "--theta")
+        if args.command == "classify-theta":
+            job = partial(cmd_classify_theta, theta, args.n)
+        elif args.command == "check-generators":
+            words = (_parse_word(getattr(args, flag), "--" + flag) for flag in ("g1", "g2", "g3"))
+            job = partial(cmd_check_generators, theta, GeneratorTriple(*words))
+        elif args.command == "extend":
+            auto = DAutomorphism(args.zeta, _parse_mat(args.chi, "--chi"), args.beta1, args.gamma1)
+            job = partial(cmd_extend, theta, args.n, auto, args.box)
+        else:
+            auto = None if args.apply is None else _parse_apply(args.apply)
+            job = partial(cmd_lattice_points, theta, args.box, auto)
         if args.box < 0:
             raise ValueError("--box must be nonnegative")
-        spec = JobSpec(
-            command=args.command,
-            theta=theta,
-            n=args.n,
-            triple=triple,
-            auto=auto,
-            box=args.box,
-            fmt=args.fmt,
-        )
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](spec)
+        return job(args.fmt)
     except NotAnAutomorphismError as exc:
         print(f"s2sym: not an automorphism: {exc}", file=sys.stderr)
         return 3
-    except InvalidParametersError as exc:
-        print(f"s2sym: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ independent oracle for it in the tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotGeneratingError
@@ -217,52 +216,3 @@ def generates_d(theta: Mat2Z, triple: GeneratorTriple) -> GenerationCertificate:
     if hcf_all(wedges) != 1:
         return GenerationCertificate(False, "5.12", reduced, taus)
     return GenerationCertificate(True, None, reduced, taus)
-
-
-def word_closure(theta: Mat2Z, gens, max_len: int) -> set[DElement]:
-    """All elements expressible as words of length <= max_len in gens and inverses.
-
-    Confirmation-only tooling: it can witness that a triple generates, never
-    refute it.
-    """
-    steps = []
-    for gword in gens:
-        steps.append(gword)
-        steps.append(dinv(theta, gword))
-    seen = {IDENTITY_WORD}
-    frontier = [IDENTITY_WORD]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in steps:
-                e = dmul(theta, w, s)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
-
-
-def words_reach(theta: Mat2Z, gens, targets, max_len: int) -> bool:
-    """Breadth-first search for all target words, stopping at max_len."""
-    steps = []
-    for gword in gens:
-        steps.append(gword)
-        steps.append(dinv(theta, gword))
-    remaining = set(targets) - {IDENTITY_WORD}
-    seen = {IDENTITY_WORD}
-    frontier = deque([IDENTITY_WORD])
-    depth = 0
-    while frontier and remaining and depth < max_len:
-        depth += 1
-        for _ in range(len(frontier)):
-            w = frontier.popleft()
-            for s in steps:
-                e = dmul(theta, w, s)
-                if e not in seen:
-                    seen.add(e)
-                    remaining.discard(e)
-                    frontier.append(e)
-        if not remaining:
-            return True
-    return not remaining

@@ -97,13 +97,13 @@ def mat2z_pow(m: Mat2Z, e: int) -> Mat2Z:
 
 
 @lru_cache(maxsize=None)
-def theta_order(theta: Mat2Z) -> int:
-    """Multiplicative order p of an admissible theta: 2, 3, 4, 6 for trace -2, -1, 0, 1.
+def theta_powers(theta: Mat2Z) -> tuple[Mat2Z, ...]:
+    """theta^0, ..., theta^(p-1) for an admissible theta of multiplicative order p.
 
-    Also serves as the validity check for theta: raises InvalidThetaError
-    unless theta is in SL2(Z), has admissible trace, and actually satisfies
-    theta**p == I (trace -2 matrices other than -I fail this and do not lie
-    on any one-parameter subgroup).
+    p is 2, 3, 4, 6 for trace -2, -1, 0, 1. Also serves as the validity check
+    for theta: raises InvalidThetaError unless theta is in SL2(Z), has
+    admissible trace, and actually satisfies theta**p == I (trace -2 matrices
+    other than -I fail this and do not lie on any one-parameter subgroup).
     """
     if theta.det() != 1:
         raise InvalidThetaError(f"theta must have determinant 1, got {theta.det()}")
@@ -111,16 +111,20 @@ def theta_order(theta: Mat2Z) -> int:
     if tr not in ORDER_BY_TRACE:
         raise InvalidThetaError(f"trace {tr} outside the finite-order class {{-2,-1,0,1}}")
     p = ORDER_BY_TRACE[tr]
-    if mat2z_pow(theta, p) != IDENTITY:
+    powers = [IDENTITY]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ theta)
+    if powers[-1] @ theta != IDENTITY:
         raise InvalidThetaError(f"theta does not have finite order {p}: {theta}")
-    return p
+    return tuple(powers)
 
 
-@lru_cache(maxsize=None)
-def _theta_power_reduced(theta: Mat2Z, r: int) -> Mat2Z:
-    return mat2z_pow(theta, r)
+def theta_order(theta: Mat2Z) -> int:
+    """Multiplicative order p of an admissible theta; validates theta as theta_powers does."""
+    return len(theta_powers(theta))
 
 
 def theta_power(theta: Mat2Z, e: int) -> Mat2Z:
-    """theta**e for admissible theta, reduced mod the finite order (cached)."""
-    return _theta_power_reduced(theta, e % theta_order(theta))
+    """theta**e for admissible theta, read from the table of one period."""
+    powers = theta_powers(theta)
+    return powers[e % len(powers)]

@@ -43,11 +43,15 @@ BASIS_F = "f"
 _BASES = (BASIS_E, BASIS_F)
 
 
-def branch_k(trace: int, n: int) -> float:
-    """The rotation rate k for branch integer n of the given trace class."""
+def _branch_rule(trace: int) -> tuple[int, tuple[int, ...], float]:
     if trace not in _BRANCH_RULES:
         raise InvalidParametersError(f"trace {trace} has no admissible branches")
-    modulus, residues, unit = _BRANCH_RULES[trace]
+    return _BRANCH_RULES[trace]
+
+
+def branch_k(trace: int, n: int) -> float:
+    """The rotation rate k for branch integer n of the given trace class."""
+    modulus, residues, unit = _branch_rule(trace)
     if n % modulus not in residues:
         raise InvalidParametersError(
             f"branch n={n} not admissible for trace {trace} (n mod {modulus} must be in {residues})"
@@ -57,9 +61,7 @@ def branch_k(trace: int, n: int) -> float:
 
 def first_branches(trace: int, count: int = 2) -> list[int]:
     """The smallest positive admissible branch integers for a trace class."""
-    if trace not in _BRANCH_RULES:
-        raise InvalidParametersError(f"trace {trace} has no admissible branches")
-    modulus, residues, _ = _BRANCH_RULES[trace]
+    modulus, residues, _ = _branch_rule(trace)
     out = []
     n = 1
     while len(out) < count:
@@ -178,38 +180,34 @@ def _require_basis(p: GroupPoint, basis: str, what: str) -> None:
         raise ValueError(f"{what} expects a {basis!r}-frame point, got {p.basis!r}")
 
 
+def _shear(g: S2Group, x3: float, basis: str) -> np.ndarray:
+    """The 2x2 block by which a point with third coordinate x3 acts on the
+    first two coordinates of the point it multiplies from the left."""
+    if basis == BASIS_E:
+        return phi_of(g, x3)
+    t = g.k * x3
+    ct, st = math.cos(t), math.sin(t)
+    return np.array([[ct, st], [-st, ct]])
+
+
 def compose(g: S2Group, x: GroupPoint, y: GroupPoint) -> GroupPoint:
     """Group product psi(x, y); both points must carry the same frame tag."""
     if x.basis != y.basis:
         raise ValueError(f"cannot compose points in different frames: {x.basis!r} and {y.basis!r}")
-    out = _compose_raw(g, x.array(), y.array(), x.basis)
-    return GroupPoint(tuple(out), x.basis)
-
-
-def _compose_raw(g: S2Group, x: np.ndarray, y: np.ndarray, basis: str) -> np.ndarray:
-    if basis == BASIS_E:
-        block = phi_of(g, x[2])
-    else:
-        t = g.k * x[2]
-        ct, st = math.cos(t), math.sin(t)
-        block = np.array([[ct, st], [-st, ct]])
-    return np.array([
-        x[0] + block[0, 0] * y[0] + block[0, 1] * y[1],
-        x[1] + block[1, 0] * y[0] + block[1, 1] * y[1],
-        x[2] + y[2],
-    ])
+    (x1, x2, x3), (y1, y2, y3) = x.coords, y.coords
+    block = _shear(g, x3, x.basis)
+    out = (
+        x1 + block[0, 0] * y1 + block[0, 1] * y2,
+        x2 + block[1, 0] * y1 + block[1, 1] * y2,
+        x3 + y3,
+    )
+    return GroupPoint(out, x.basis)
 
 
 def inverse(g: S2Group, x: GroupPoint) -> GroupPoint:
     """The group inverse, psi(x, inverse(x)) = 0."""
     v = x.array()
-    if x.basis == BASIS_E:
-        block = phi_of(g, -v[2])
-    else:
-        t = -g.k * v[2]
-        ct, st = math.cos(t), math.sin(t)
-        block = np.array([[ct, st], [-st, ct]])
-    head = -(block @ v[:2])
+    head = -(_shear(g, -v[2], x.basis) @ v[:2])
     return GroupPoint((head[0], head[1], -v[2]), x.basis)
 
 
@@ -297,26 +295,3 @@ def convert_basis(g: S2Group, p: GroupPoint) -> GroupPoint:
         return GroupPoint(tuple(out), BASIS_F)
     out = g.M.T @ v
     return GroupPoint(tuple(out), BASIS_E)
-
-
-def structure_constants_fd(g: S2Group, basis: str = BASIS_F, h: float = 1e-4) -> np.ndarray:
-    """Structure constants from second mixed partials of the product at (0, 0).
-
-    Central differences with step h; the antisymmetrised mixed partial
-    C[i,j,l] = d2 psi_i / dx_j dy_l - d2 psi_i / dx_l dy_j.
-    """
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis tag {basis!r}")
-    d2 = np.zeros((3, 3, 3))
-    for j in range(3):
-        ej = np.zeros(3)
-        ej[j] = h
-        for l in range(3):
-            el = np.zeros(3)
-            el[l] = h
-            pp = _compose_raw(g, ej, el, basis)
-            pm = _compose_raw(g, ej, -el, basis)
-            mp = _compose_raw(g, -ej, el, basis)
-            mm = _compose_raw(g, -ej, -el, basis)
-            d2[:, j, l] = (pp - pm - mp + mm) / (4.0 * h * h)
-    return d2 - d2.transpose(0, 2, 1)

@@ -30,6 +30,7 @@ from .intmat import (
     Mat2Z,
     theta_order,
     theta_power,
+    theta_powers,
 )
 from .discrete import DElement, GeneratorTriple, GenerationCertificate, dmul, dpow, generates_d
 
@@ -56,16 +57,7 @@ class SymmetryGroup:
 
 
 def _signed_powers(theta: Mat2Z) -> tuple[Mat2Z, ...]:
-    p = theta_order(theta)
-    out = []
-    seen = set()
-    for m in range(p):
-        pm = theta_power(theta, m)
-        for cand in (pm, -pm):
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return tuple(out)
+    return tuple(dict.fromkeys(c for pm in theta_powers(theta) for c in (pm, -pm)))
 
 
 def centralizer(theta: Mat2Z) -> SymmetryGroup:

@@ -2,15 +2,18 @@
 
 Everything here recomputes a result by a different route than the library
 code it validates: plain 4x4 integer matrix products, RK4 integration of
-the frame field, exhaustive integer searches, and the power-sum form of the
-word-level automorphism action.
+the frame field, exhaustive integer searches, the power-sum form of the
+word-level automorphism action, breadth-first word search, and finite
+differences of the group product and of group automorphisms.
 """
 
 from itertools import product
 
 import numpy as np
 
-from s2sym import DElement, Mat2Z, theta_power
+from s2sym import BASIS_F, DElement, GroupPoint, Mat2Z, compose, dinv, dmul, theta_power
+from s2sym.autos import apply_group_auto_batch
+from s2sym.discrete import IDENTITY_WORD
 from s2sym.symmetry import DAutomorphism
 
 
@@ -86,3 +89,65 @@ def brute_force_reversers(theta: Mat2Z, bound: int = 5) -> set[Mat2Z]:
         if chi @ theta == theta_inv @ chi:
             out.add(chi)
     return out
+
+
+def word_closure(theta: Mat2Z, gens, max_len: int, stop_at=()) -> set[DElement]:
+    """Elements reached by words of length <= max_len in gens and their inverses.
+
+    Breadth first; stops after the first length at which every element of
+    stop_at has been reached. It can witness that a triple generates, never
+    refute it.
+    """
+    steps = [s for gword in gens for s in (gword, dinv(theta, gword))]
+    targets = set(stop_at)
+    seen = {IDENTITY_WORD}
+    frontier = [IDENTITY_WORD]
+    for _ in range(max_len):
+        if targets and targets <= seen:
+            break
+        nxt = []
+        for w in frontier:
+            for s in steps:
+                e = dmul(theta, w, s)
+                if e not in seen:
+                    seen.add(e)
+                    nxt.append(e)
+        frontier = nxt
+    return seen
+
+
+def structure_constants_fd(g, basis: str = BASIS_F, h: float = 1e-4) -> np.ndarray:
+    """Structure constants from second mixed partials of the product at (0, 0).
+
+    Central differences with step h; the antisymmetrised mixed partial
+    C[i,j,l] = d2 psi_i / dx_j dy_l - d2 psi_i / dx_l dy_j.
+    """
+
+    def psi(x, y):
+        return compose(g, GroupPoint(tuple(x), basis), GroupPoint(tuple(y), basis)).array()
+
+    d2 = np.zeros((3, 3, 3))
+    for j in range(3):
+        ej = np.zeros(3)
+        ej[j] = h
+        for l in range(3):
+            el = np.zeros(3)
+            el[l] = h
+            pp = psi(ej, el)
+            pm = psi(ej, -el)
+            mp = psi(-ej, el)
+            mm = psi(-ej, -el)
+            d2[:, j, l] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return d2 - d2.transpose(0, 2, 1)
+
+
+def gradient_at_identity(g, phi, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the group automorphism at the identity."""
+    grad = np.zeros((3, 3))
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        fp = apply_group_auto_batch(phi, step[None, :])[0]
+        fm = apply_group_auto_batch(phi, -step[None, :])[0]
+        grad[:, j] = (fp - fm) / (2.0 * h)
+    return grad

@@ -28,17 +28,15 @@ from s2sym import (
     mat2z_pow,
     r_eps,
     reversing_group,
-    structure_constants_fd,
     theta_order,
     uniqueness_probe,
     verify_extension,
-    words_reach,
 )
 from s2sym.autos import apply_group_auto_batch
 from s2sym.discrete import GEN_A, GEN_B, GEN_C
 from s2sym.intmat import IDENTITY, MINUS_IDENTITY
 from s2sym.liegroup import first_branches
-from oracles import brute_force_commutants, rk4_flow
+from oracles import brute_force_commutants, rk4_flow, structure_constants_fd, word_closure
 
 THETA4 = Mat2Z(0, 1, -1, 0)     # trace 0
 THETA3 = Mat2Z(0, 1, -1, -1)    # trace -1
@@ -265,7 +263,7 @@ def test_criterion_11_generator_conditions():
         if not generates_d(THETA4, triple).generates:
             continue
         found += 1
-        if not words_reach(THETA4, triple.words, [GEN_A, GEN_B, GEN_C], 12):
+        if not {GEN_A, GEN_B, GEN_C} <= word_closure(THETA4, triple.words, 12, [GEN_A, GEN_B, GEN_C]):
             reach_ok = False
     ok = ok and found == 20 and reach_ok
     _report(

@@ -9,13 +9,13 @@ from s2sym import (
     apply_group_auto,
     exp_map,
     fpoint,
-    gradient_at_identity,
     group_auto_from_algebra,
     is_algebra_auto,
     make_group,
     pts_factor,
 )
 from s2sym.autos import P_FLIP, apply_group_auto_batch
+from oracles import gradient_at_identity
 
 
 @pytest.fixture(scope="module")

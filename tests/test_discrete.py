@@ -20,12 +20,10 @@ from s2sym import (
     rmat,
     tau_vectors,
     word_at,
-    word_closure,
-    words_reach,
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C, IDENTITY_WORD, ReducedTriple
 from s2sym.intmat import IDENTITY
-from oracles import MAT4_IDENTITY, mat4_mul
+from oracles import MAT4_IDENTITY, mat4_mul, word_closure
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -148,16 +146,16 @@ def test_reduce_generators_euclid():
     words = rt.words
     assert words[0].q == 1 and words[1].q == 0 and words[2].q == 0
     # mutual reachability of the generators proves the subgroups are equal
-    assert words_reach(THETA4, triple.words, list(words), 12)
-    assert words_reach(THETA4, words, list(triple.words), 12)
+    assert set(words) <= word_closure(THETA4, triple.words, 12, words)
+    assert set(triple.words) <= word_closure(THETA4, words, 12, triple.words)
     # spot-check membership agreement on nearby elements of both closures
     rng = np.random.default_rng(21)
     orig_list = sorted(word_closure(THETA4, triple.words, 2), key=lambda w: (w.q, w.m, w.n))
     for idx in rng.choice(len(orig_list), size=20, replace=False):
-        assert words_reach(THETA4, words, [orig_list[idx]], 12)
+        assert orig_list[idx] in word_closure(THETA4, words, 12, [orig_list[idx]])
     red_list = sorted(word_closure(THETA4, words, 3), key=lambda w: (w.q, w.m, w.n))
     for idx in rng.choice(len(red_list), size=20, replace=False):
-        assert words_reach(THETA4, triple.words, [red_list[idx]], 12)
+        assert red_list[idx] in word_closure(THETA4, triple.words, 12, [red_list[idx]])
 
 
 def test_reduce_generators_requires_coprime_a_exponents():
@@ -201,4 +199,4 @@ def test_accepted_triples_reach_all_generators():
         GeneratorTriple(DElement(1, 1, 0), GEN_B, GEN_C),
     ):
         assert generates_d(THETA4, triple).generates
-        assert words_reach(THETA4, triple.words, [GEN_A, GEN_B, GEN_C], 12)
+        assert {GEN_A, GEN_B, GEN_C} <= word_closure(THETA4, triple.words, 12, [GEN_A, GEN_B, GEN_C])

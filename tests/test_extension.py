@@ -16,7 +16,6 @@ from s2sym import (
     enumerate_elastic,
     extend,
     f_factor,
-    gradient_at_identity,
     is_algebra_auto,
     make_group,
     r_eps,
@@ -27,6 +26,7 @@ from s2sym import (
 )
 from s2sym.extension import _swap
 from s2sym.intmat import IDENTITY
+from oracles import gradient_at_identity
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)

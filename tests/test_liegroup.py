@@ -20,10 +20,9 @@ from s2sym import (
     lattice_fields,
     make_group,
     phi_of,
-    structure_constants_fd,
     two_exp_decompose,
 )
-from oracles import rk4_flow
+from oracles import rk4_flow, structure_constants_fd
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
