@@ -1,8 +1,8 @@
 """Survey the symmetry structure over the canonical test matrices.
 
 For each finite-order class this prints the symmetry groups of theta, then
-enumerates every automorphism of the discrete subgroup with small word
-shifts, lifts each one to the continuous group on the first two branch
+enumerates every elastic automorphism of the discrete subgroup with small
+word shifts (for theta = -I, the eight (zeta, chi) pairs that lift), lifts each one to the continuous group on the first two branch
 rates, and reports the worst lattice disagreement of the lifted maps.
 
 Run as:  python scripts/extension_survey.py [--box 3] [--shift 3]
@@ -44,9 +44,6 @@ def main() -> None:
         rev = reversing_group(theta)
         print(f"\n{name}: theta = {theta.rows()}, order {theta_order(theta)}")
         print(f"  S(theta) = {sym.label} (order {sym.order}), R(theta) = {rev.label} (order {rev.order})")
-        if rev.is_all_gl2z:
-            print("  infinite symmetry family; extension survey covers the non-scalar classes")
-            continue
         for n in first_branches(theta.trace(), 2):
             g = make_group(theta, n)
             autos = enumerate_elastic(theta, shifts, shifts)

@@ -5,6 +5,7 @@ from .errors import (
     InvalidParametersError,
     InvalidThetaError,
     NotAnAutomorphismError,
+    NotElasticError,
     NotGeneratingError,
     SingularFError,
 )
@@ -65,6 +66,7 @@ from .symmetry import (
     check_d_automorphism,
     classify_symmetry,
     enumerate_elastic,
+    lifts,
     reversing_group,
     reversing_symmetry,
 )

@@ -20,7 +20,7 @@ import re
 import sys
 from functools import partial
 
-from .errors import NotAnAutomorphismError
+from .errors import NotAnAutomorphismError, NotElasticError
 from .intmat import Mat2Z, theta_order
 from .liegroup import branch_k, first_branches, make_group
 from .discrete import DElement, GeneratorTriple, embed_int
@@ -292,6 +292,9 @@ def main(argv=None) -> int:
         return job(args.fmt)
     except NotAnAutomorphismError as exc:
         print(f"s2sym: not an automorphism: {exc}", file=sys.stderr)
+        return 3
+    except NotElasticError as exc:
+        print(f"s2sym: not elastic: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)

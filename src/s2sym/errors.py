@@ -17,6 +17,10 @@ class NotAnAutomorphismError(ValueError):
     """Parameters (zeta, chi, beta1, gamma1) violate an automorphism condition."""
 
 
+class NotElasticError(ValueError):
+    """An automorphism of D that does not extend to the continuous group."""
+
+
 class SingularFError(ValueError):
     """F(B u3) is singular here (k*u3 is a multiple of 2*pi), so it cannot be inverted."""
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, SingularFError
+from .errors import InternalInconsistencyError, NotElasticError, SingularFError
 from .intmat import theta_order, theta_power
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
 from .discrete import DElement, embed_int
-from .symmetry import DAutomorphism, apply_d_automorphism, check_d_automorphism
+from .symmetry import NOT_LIFTING, DAutomorphism, apply_d_automorphism, check_d_automorphism, lifts
 
 _FORM_TOL = 1e-9
 
@@ -77,14 +77,15 @@ def _rotation_scaling_params(block: np.ndarray, context: str) -> tuple[float, fl
 def extend(g: S2Group, phi_d: DAutomorphism) -> GroupAutoParams:
     """The unique automorphism of the continuous group restricting to phi_d on D.
 
-    For non-scalar theta the intertwining relation theta^zeta chi = chi theta
-    forces the conjugated block into rotation-scaling form, so the lift always
-    exists. For theta = -I the relation is vacuous (every unimodular chi is an
-    automorphism of D) and only chi conjugate to a rotation or reflection of
-    the frame lifts; the others fail the form check below and raise
+    Raises NotAnAutomorphismError unless phi_d is an automorphism of D, and
+    NotElasticError when it is one that does not lift (see symmetry.lifts;
+    only theta = -I has such automorphisms). Otherwise the conjugated chi
+    block is of rotation-scaling form, and a failure of that form is an
     InternalInconsistencyError.
     """
     check_d_automorphism(g.theta, phi_d)
+    if not lifts(g.theta, phi_d.zeta, phi_d.chi):
+        raise NotElasticError(NOT_LIFTING)
     eps = 0 if phi_d.zeta == 1 else 1
     chi = np.array(phi_d.chi.rows(), dtype=float)
     block = _swap(eps) @ g.Mbar_invT @ chi @ g.Mbar.T

@@ -9,7 +9,8 @@ A change of generators of D extends to an automorphism of D exactly when
 the images of B and C carry no power of A, the image of A carries A to the
 power zeta = +-1, and the 2x2 matrix chi of B/C exponents is unimodular
 with theta^zeta chi = chi theta. The automorphism is then determined by
-(zeta, chi, beta1, gamma1).
+(zeta, chi, beta1, gamma1). It is elastic when it also extends to the
+continuous group, which lifts decides exactly.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import (
-    InternalInconsistencyError,
-    InvalidParametersError,
-    NotAnAutomorphismError,
-)
+from .errors import InternalInconsistencyError, NotAnAutomorphismError
 from .intmat import (
     IDENTITY,
     MINUS_IDENTITY,
@@ -228,6 +225,28 @@ def apply_d_automorphism(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElem
     return dmul(theta, out, dpow(theta, image_c, d.n))
 
 
+NOT_LIFTING = (
+    "the automorphism of D does not extend to the continuous group "
+    "(theta = -I: zeta = +1 needs a rotation chi, zeta = -1 a reflection)"
+)
+
+
+def lifts(theta: Mat2Z, zeta: int, chi: Mat2Z) -> bool:
+    """Whether an automorphism (zeta, chi, beta1, gamma1) of D extends to the group.
+
+    For non-scalar theta the intertwining relation theta^zeta chi = chi theta
+    forces the lift. For theta = -I that relation is vacuous, and the lift
+    exists only when chi keeps the square frame of the instance (whose
+    derivative is a quarter-turn generator): zeta = +1 needs a rotation
+    (a = d, b = -c), zeta = -1 a reflection (a = -d, b = c).
+    """
+    if theta != MINUS_IDENTITY:
+        return True
+    if zeta == 1:
+        return chi.a == chi.d and chi.b == -chi.c
+    return chi.a == -chi.d and chi.b == chi.c
+
+
 NOT_A_SYMMETRY = "not_a_symmetry"
 ELASTIC = "elastic"
 INELASTIC = "inelastic"
@@ -247,9 +266,11 @@ def classify_symmetry(theta: Mat2Z, triple: GeneratorTriple) -> SymmetryClassifi
     """Classify a change of generators of D.
 
     Triples that do not generate D are reported distinctly (they are not
-    symmetries at all, so the elastic/inelastic split does not apply).
-    Every automorphism of D extends to the continuous group, so a triple
-    that passes the automorphism conditions is elastic outright.
+    symmetries at all, so the elastic/inelastic split does not apply). A
+    generating triple is elastic when it is an automorphism of D that
+    extends to the continuous group. Otherwise it is inelastic, with the
+    reason; an automorphism that does not lift (only possible for theta = -I)
+    stays attached.
     """
     cert = generates_d(theta, triple)
     if not cert.generates:
@@ -257,43 +278,33 @@ def classify_symmetry(theta: Mat2Z, triple: GeneratorTriple) -> SymmetryClassifi
     auto, reason = _d_automorphism_or_reason(theta, triple)
     if auto is None:
         return SymmetryClassification(INELASTIC, cert, None, reason)
+    if not lifts(theta, auto.zeta, auto.chi):
+        return SymmetryClassification(INELASTIC, cert, auto, NOT_LIFTING)
     return SymmetryClassification(ELASTIC, cert, auto, None)
 
 
-def enumerate_elastic(
-    theta: Mat2Z,
-    beta1_range,
-    gamma1_range,
-    entry_bound: int | None = None,
-) -> list[DAutomorphism]:
-    """All automorphisms of D with beta1, gamma1 in the given ranges.
+def enumerate_elastic(theta: Mat2Z, beta1_range, gamma1_range) -> list[DAutomorphism]:
+    """All elastic automorphisms of D with beta1, gamma1 in the given ranges.
 
-    chi runs over R(theta), each paired with the zeta that satisfies the
-    intertwining relation. For theta = -I the matrix group is all of
-    GL2(Z), so a finite entry_bound is required and every bounded chi is
-    paired with both zeta values (both intertwinings hold there).
+    For non-scalar theta every automorphism is elastic: chi runs over
+    R(theta), each paired with the zeta that satisfies the intertwining
+    relation. For theta = -I every unimodular chi gives an automorphism, but
+    only eight (zeta, chi) pairs lift (see lifts): the four rotations with
+    zeta = +1 and the four reflections with zeta = -1.
     """
     theta_order(theta)
     beta1_range = list(beta1_range)
     gamma1_range = list(gamma1_range)
-    pairs: list[tuple[int, Mat2Z]] = []
     if theta == MINUS_IDENTITY:
-        if entry_bound is None:
-            raise InvalidParametersError(
-                "theta = -I has infinitely many symmetries; pass entry_bound for a sample"
-            )
-        span = range(-entry_bound, entry_bound + 1)
-        for a, b, c, d in product(span, repeat=4):
-            chi = Mat2Z(a, b, c, d)
-            if abs(chi.det()) != 1:
-                continue
-            pairs.append((1, chi))
-            pairs.append((-1, chi))
+        # A lifting chi has a^2 + b^2 = 1, so its entries lie in {-1, 0, 1}.
+        units = [Mat2Z(*e) for e in product((-1, 0, 1), repeat=4)]
+        units = [chi for chi in units if abs(chi.det()) == 1]
+        pairs = [(zeta, chi) for zeta in (1, -1) for chi in units if lifts(theta, zeta, chi)]
     else:
         sym = centralizer(theta)
         rev = reversing_group(theta)
         sym_set = set(sym.elements)
-        pairs.extend((1, chi) for chi in sym.elements)
+        pairs = [(1, chi) for chi in sym.elements]
         pairs.extend((-1, chi) for chi in rev.elements if chi not in sym_set)
     out = []
     for zeta, chi in pairs:

@@ -1,22 +1,29 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from s2sym import (
     DAutomorphism,
     DElement,
+    GeneratorTriple,
     GroupAutoParams,
     Mat2Z,
     NotAnAutomorphismError,
+    NotElasticError,
     SingularFError,
     apply_group_auto,
+    classify_symmetry,
     embed,
     convert_basis,
     enumerate_elastic,
     extend,
     f_factor,
+    first_branches,
     is_algebra_auto,
+    lifts,
     make_group,
     r_eps,
     reversing_symmetry,
@@ -205,8 +212,6 @@ def test_minus_identity_extension_dihedral_pairs():
 
 
 def test_minus_identity_non_lifting_automorphisms_are_detected():
-    from s2sym import InternalInconsistencyError
-
     g = make_group(THETA2, 1)
     # valid automorphisms of D whose lattice action is incompatible with any
     # continuous automorphism of this group instance
@@ -217,5 +222,37 @@ def test_minus_identity_non_lifting_automorphisms_are_detected():
         (-1, Mat2Z(0, 1, -1, 0)),
         (1, Mat2Z(2, 1, 1, 1)),
     ):
-        with pytest.raises(InternalInconsistencyError):
+        assert not lifts(THETA2, zeta, chi)
+        with pytest.raises(NotElasticError):
             extend(g, DAutomorphism(zeta, chi, 0, 0))
+
+
+def _unimodular(bound):
+    span = range(-bound, bound + 1)
+    return [chi for chi in (Mat2Z(*e) for e in product(span, repeat=4)) if abs(chi.det()) == 1]
+
+
+GROUPS = {theta: make_group(theta, first_branches(theta.trace(), 1)[0]) for theta in ALL_THETAS}
+
+
+@settings(max_examples=300)
+@given(
+    theta=st.sampled_from(ALL_THETAS),
+    zeta=st.sampled_from((1, -1)),
+    # entries in [-1, 1] hold every member of R(theta); [-2, 2] mostly non-automorphisms
+    chi=st.sampled_from(_unimodular(1)) | st.sampled_from(_unimodular(2)),
+    beta1=st.integers(-3, 3),
+    gamma1=st.integers(-3, 3),
+)
+def test_elastic_iff_extend_succeeds(theta, zeta, chi, beta1, gamma1):
+    phi_d = DAutomorphism(zeta, chi, beta1, gamma1)
+    triple = GeneratorTriple(DElement(zeta, beta1, gamma1), DElement(0, chi.a, chi.c), DElement(0, chi.b, chi.d))
+    verdict = classify_symmetry(theta, triple)
+    try:
+        extend(GROUPS[theta], phi_d)
+    except NotAnAutomorphismError:
+        assert (verdict.kind, verdict.automorphism) == ("inelastic", None)
+    except NotElasticError:
+        assert (verdict.kind, verdict.automorphism) == ("inelastic", phi_d)
+    else:
+        assert (verdict.kind, verdict.automorphism) == ("elastic", phi_d)

@@ -8,7 +8,6 @@ from s2sym import (
     GeneratorTriple,
     Mat2Z,
     NotAnAutomorphismError,
-    InvalidParametersError,
     apply_d_automorphism,
     as_d_automorphism,
     centralizer,
@@ -226,15 +225,15 @@ def test_enumerate_pairs_zeta_correctly():
         assert (phi.zeta == 1) == (phi.chi in sym)
 
 
-def test_enumerate_minus_identity_needs_bound():
-    with pytest.raises(InvalidParametersError):
-        enumerate_elastic(THETA2, [0], [0])
-    autos = enumerate_elastic(THETA2, [0], [0], entry_bound=1)
-    assert autos
-    chis = {phi.chi for phi in autos}
-    for chi in chis:
-        zetas = {phi.zeta for phi in autos if phi.chi == chi}
-        assert zetas == {1, -1}  # -I is central and equals its own inverse
+def test_enumerate_minus_identity_yields_the_lifting_pairs():
+    # every unimodular chi is an automorphism of D(-I), but only the square
+    # symmetries lift: rotations with zeta = +1, reflections with zeta = -1
+    rotations = {IDENTITY, MINUS_IDENTITY, THETA4, -THETA4}
+    reflections = {Mat2Z(1, 0, 0, -1), Mat2Z(-1, 0, 0, 1), Mat2Z(0, 1, 1, 0), Mat2Z(0, -1, -1, 0)}
+    autos = enumerate_elastic(THETA2, [0, 1], [0])
+    assert len(autos) == 16
+    assert {phi.chi for phi in autos if phi.zeta == 1} == rotations
+    assert {phi.chi for phi in autos if phi.zeta == -1} == reflections
     for phi in autos:
         check_d_automorphism(THETA2, phi)
 
