@@ -10,7 +10,9 @@ Subcommands:
 Output is deterministic: fixed field order and %.12g float formatting, so
 identical invocations produce byte-identical reports. Exit codes: 0 success,
 2 input error, 3 domain rejection (valid input whose mathematical answer is
-negative where the command demands a positive one).
+negative where the command demands a positive one, such as extending an
+automorphism that is not elastic), 4 internal error (a guaranteed invariant
+failed, which is a bug; reported on one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 import sys
 from functools import partial
 
-from .errors import NotAnAutomorphismError, NotElasticError
+from .errors import InternalInconsistencyError, NotAnAutomorphismError, NotElasticError
 from .intmat import Mat2Z, theta_order
 from .liegroup import branch_k, first_branches, make_group
 from .discrete import DElement, GeneratorTriple, embed_int
@@ -299,6 +301,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as exc:
+        print(f"s2sym: internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

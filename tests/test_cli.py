@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from s2sym import InternalInconsistencyError, cli
 from s2sym.cli import main
 
 
@@ -224,3 +225,14 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_four_with_one_line(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalInconsistencyError("invariant failed")
+
+    monkeypatch.setattr(cli, "cmd_classify_theta", broken)
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", "0,1,-1,0")
+    assert code == 4
+    assert out == ""
+    assert err == "s2sym: internal error: invariant failed\n"
