@@ -297,9 +297,8 @@ def enumerate_elastic(theta: Mat2Z, beta1_range, gamma1_range) -> list[DAutomorp
     gamma1_range = list(gamma1_range)
     if theta == MINUS_IDENTITY:
         # A lifting chi has a^2 + b^2 = 1, so its entries lie in {-1, 0, 1}.
-        units = [Mat2Z(*e) for e in product((-1, 0, 1), repeat=4)]
-        units = [chi for chi in units if abs(chi.det()) == 1]
-        pairs = [(zeta, chi) for zeta in (1, -1) for chi in units if lifts(theta, zeta, chi)]
+        chis = [Mat2Z(*e) for e in product((-1, 0, 1), repeat=4)]
+        pairs = [(z, chi) for z in (1, -1) for chi in chis if abs(chi.det()) == 1 and lifts(theta, z, chi)]
     else:
         sym = centralizer(theta)
         rev = reversing_group(theta)
