@@ -2,7 +2,8 @@
 
 For each finite-order class this prints the symmetry groups of theta, then
 enumerates every elastic automorphism of the discrete subgroup with small
-word shifts (for theta = -I, the eight (zeta, chi) pairs that lift), lifts each one to the continuous group on the first two branch
+word shifts (for theta = -I, those of the eight (zeta, chi) pairs that
+lift), lifts each one to the continuous group on the first two branch
 rates, and reports the worst lattice disagreement of the lifted maps.
 
 Run as:  python scripts/extension_survey.py [--box 3] [--shift 3]
