@@ -66,9 +66,11 @@ from .symmetry import (
     check_d_automorphism,
     classify_symmetry,
     enumerate_elastic,
+    image_word,
     lifts,
     reversing_group,
     reversing_symmetry,
+    shift_prefix,
 )
 from .extension import (
     ExtensionReport,

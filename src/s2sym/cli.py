@@ -28,10 +28,11 @@ from .liegroup import branch_k, first_branches, make_group
 from .discrete import DElement, GeneratorTriple, embed_int
 from .symmetry import (
     DAutomorphism,
-    apply_d_automorphism,
     centralizer,
     classify_symmetry,
+    image_word,
     reversing_group,
+    shift_prefix,
 )
 from .extension import extend as extend_auto
 from .extension import uniqueness_probe, verify_extension
@@ -203,6 +204,7 @@ def cmd_extend(theta: Mat2Z, n: int | None, phi_d: DAutomorphism, box: int, fmt:
 
 def cmd_lattice_points(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: str) -> int:
     theta_order(theta)
+    prefix = None if auto is None else shift_prefix(theta, auto)
     span = range(-box, box + 1)
     for q in span:
         for m in span:
@@ -211,11 +213,9 @@ def cmd_lattice_points(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: 
                 x1, x2, x3 = embed_int(theta, word)
                 record = {"q": q, "m": m, "n": n, "x1": x1, "x2": x2, "x3": x3}
                 if auto is not None:
-                    img = apply_d_automorphism(theta, auto, word)
+                    img = image_word(auto, prefix, word)
                     y1, y2, y3 = embed_int(theta, img)
-                    record.update(
-                        {"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3}
-                    )
+                    record.update({"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3})
                 if fmt == JSON_FORMAT:
                     print(dump_json(record))
                 else:

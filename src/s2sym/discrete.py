@@ -48,9 +48,6 @@ def dinv(theta: Mat2Z, d: DElement) -> DElement:
 
 
 def dpow(theta: Mat2Z, d: DElement, e: int) -> DElement:
-    if d.q == 0:
-        # B- and C-type words commute, so powers are plain scalings.
-        return DElement(0, e * d.m, e * d.n)
     if e < 0:
         d = dinv(theta, d)
         e = -e

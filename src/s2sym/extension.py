@@ -13,9 +13,9 @@ divisible by the order of theta. R(eps) is computed here from that
 q-dependent expression at q = 1; its independence of q is a checkable fact
 and is exercised by the tests rather than assumed.
 
-verify_extension then compares the exact word-level action with the lifted
-map on an embedded lattice box, and uniqueness_probe re-derives the five
-parameters from lattice data alone.
+verify_extension then compares the exact word-level action (the closed form
+of symmetry.shift_prefix) with the lifted map on an embedded lattice box,
+and uniqueness_probe re-derives the five parameters from lattice data alone.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, NotElasticError, SingularFError
-from .intmat import theta_order, theta_power
+from .intmat import theta_order, theta_power, theta_powers
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
 from .discrete import DElement, embed_int
-from .symmetry import NOT_LIFTING, DAutomorphism, apply_d_automorphism, check_d_automorphism, lifts
+from .symmetry import NOT_LIFTING, DAutomorphism, check_d_automorphism, image_word, lifts, shift_prefix
 
 _FORM_TOL = 1e-9
 
@@ -112,36 +112,31 @@ def verify_extension(
     """Compare phi_d (exact words) with phi_tilde (lifted map) on all words
     with |q|, |m|, |n| <= box, in "f" coordinates.
 
-    The pass tolerance scales as max(1e-9, 1e-12 * |point|), so large boxes
-    do not fail on bare float roundoff.
+    The exact integer points of the box and of their images (the closed form
+    (zeta q, s(q) + chi (m, n))) are mapped in one float pass. A word passes
+    within max(1e-9, 1e-12 * scale), scale the largest of its point entries
+    and |gamma|, |delta|: the roundoff of sin(k q) gamma need not show in
+    the points (sin(2 pi) gamma at q = +-3 for trace -1).
     """
-    theta = g.theta
+    prefix = shift_prefix(g.theta, phi_d)
+    powers = theta_powers(g.theta)
+    p, zeta = len(powers), phi_d.zeta
     span = range(-box, box + 1)
-    minv_t = g.M_invT
-    max_disc = 0.0
-    passed = True
+    plane = [(m, n) for m in span for n in span]
+    sources, images = [], []
     for q in span:
-        sources = []
-        images = []
-        for m in span:
-            for n in span:
-                word = DElement(q, m, n)
-                sources.append(embed_int(theta, word))
-                images.append(embed_int(theta, apply_d_automorphism(theta, phi_d, word)))
-        x_src = np.array(sources, dtype=float)
-        x_img = np.array(images, dtype=float)
-        u_src = x_src @ minv_t.T
-        u_img = x_img @ minv_t.T
-        mapped = apply_group_auto_batch(phi_tilde, u_src)
-        diffs = np.max(np.abs(mapped - u_img), axis=1)
-        norms = np.maximum(
-            np.max(np.abs(x_src), axis=1), np.max(np.abs(x_img), axis=1)
-        )
-        tols = np.maximum(1e-9, 1e-12 * norms)
-        max_disc = max(max_disc, float(np.max(diffs)))
-        if np.any(diffs > tols):
-            passed = False
-    return ExtensionReport(phi_d, phi_tilde, max_disc, box, g.k, passed)
+        t, ti = powers[q % p], powers[zeta * q % p]
+        u, (o1, o2) = ti @ phi_d.chi, ti.apply(prefix[q % p])
+        sources += [(t.a * m + t.b * n, t.c * m + t.d * n, q) for m, n in plane]
+        images += [(u.a * m + u.b * n + o1, u.c * m + u.d * n + o2, zeta * q) for m, n in plane]
+    x_src = np.array(sources, dtype=float)
+    x_img = np.array(images, dtype=float)
+    mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
+    diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
+    gamma_delta = max(abs(phi_tilde.gamma), abs(phi_tilde.delta))
+    scale = np.maximum(np.abs(np.hstack((x_src, x_img))).max(axis=1), gamma_delta)
+    passed = not np.any(diffs > np.maximum(1e-9, 1e-12 * scale))
+    return ExtensionReport(phi_d, phi_tilde, float(np.max(diffs)), box, g.k, passed)
 
 
 @dataclass(frozen=True)
@@ -166,19 +161,17 @@ def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessPro
     of the theta order. Probing only multiples of the order leaves gamma and
     delta undetermined, which is flagged rather than guessed.
     """
-    check_d_automorphism(g.theta, phi_d)
     theta = g.theta
     p = theta_order(theta)
+    prefix = shift_prefix(theta, phi_d)
 
     # zeta, hence eps, read off the image of A
-    image_a = apply_d_automorphism(theta, phi_d, DElement(1, 0, 0))
-    zeta_obs = image_a.q
-    eps = 0 if zeta_obs == 1 else 1
+    eps = 0 if image_word(phi_d, prefix, DElement(1, 0, 0)).q == 1 else 1
 
     # alpha, beta from the images of B and C (third coordinate zero)
     obs = np.zeros((2, 2))
     for col, word in enumerate((DElement(0, 1, 0), DElement(0, 0, 1))):
-        img = apply_d_automorphism(theta, phi_d, word)
+        img = image_word(phi_d, prefix, word)
         x = embed_int(theta, img)
         obs[:, col] = g.Mbar_invT @ np.array([float(x[0]), float(x[1])])
     # the automorphism acts on the span of the first two frame vectors by
@@ -193,7 +186,7 @@ def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessPro
         note = "no information about gamma and delta"
     else:
         xi = 1 if eps == 0 else -1
-        img = apply_d_automorphism(theta, phi_d, DElement(q_good, 0, 0))
+        img = image_word(phi_d, prefix, DElement(q_good, 0, 0))
         x = embed_int(theta, img)
         u12 = g.Mbar_invT @ np.array([float(x[0]), float(x[1])])
         gd = (1.0 / q_good) * _swap(eps) @ np.linalg.inv(f_factor(g, float(xi * q_good))) @ u12

@@ -132,11 +132,13 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     """
     theta_order(theta)  # validates theta
     k = branch_k(theta.trace(), n)
+    modulus, _, unit = _branch_rule(theta.trace())
+    phase = unit * (n % modulus)  # k mod 2 pi, reduced exactly: trig of a large float k is noise
     if theta == MINUS_IDENTITY:
         A = np.array([[0.0, k], [-k, 0.0]])
     else:
         a, b, c, d = theta.a, theta.b, theta.c, theta.d
-        scale = k / math.sin(k)
+        scale = k / math.sin(phase)
         A = scale * np.array([[0.5 * (a - d), float(b)], [float(c), -0.5 * (a - d)]])
     bp0 = A[0, 1]
     if abs(bp0) < 1e-12:
@@ -163,7 +165,8 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
         S=_freeze(S),
     )
     # phi(1) must reproduce theta; anything else is a construction bug.
-    err = np.max(np.abs(phi_of(g, 1.0) - np.array(theta.rows(), dtype=float)))
+    phi1 = math.cos(phase) * np.eye(2) + (math.sin(phase) / k) * A
+    err = np.max(np.abs(phi1 - np.array(theta.rows(), dtype=float)))
     if err > 1e-10:
         raise InternalInconsistencyError(f"phi(1) differs from theta by {err:.3e}")
     return g

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError
@@ -25,11 +25,12 @@ from .intmat import (
     IDENTITY,
     MINUS_IDENTITY,
     Mat2Z,
+    Vec2Z,
     theta_order,
     theta_power,
     theta_powers,
 )
-from .discrete import DElement, GeneratorTriple, GenerationCertificate, dmul, dpow, generates_d
+from .discrete import DElement, GeneratorTriple, GenerationCertificate, generates_d
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,28 @@ def _d_automorphism_or_reason(
     return phi, None
 
 
-def apply_d_automorphism(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
-    """Image of a word, computed by exact word expansion through dmul."""
+def shift_prefix(theta: Mat2Z, phi: DAutomorphism) -> tuple[Vec2Z, ...]:
+    """Check phi once, then tabulate s(r) = sum_{j<r} theta^{-zeta j} (beta1, gamma1),
+    the B/C exponents of phi(A)^r, for 0 <= r < p. No admissible theta has
+    eigenvalue 1, so a full period sums to zero: s(q) = s(q mod p) for all q.
+    """
     check_d_automorphism(theta, phi)
-    image_a = DElement(phi.zeta, phi.beta1, phi.gamma1)
-    image_b = DElement(0, phi.chi.a, phi.chi.c)
-    image_c = DElement(0, phi.chi.b, phi.chi.d)
-    out = dpow(theta, image_a, d.q)
-    out = dmul(theta, out, dpow(theta, image_b, d.m))
-    return dmul(theta, out, dpow(theta, image_c, d.n))
+    powers = theta_powers(theta)
+    shift = (phi.beta1, phi.gamma1)
+    steps = (powers[-phi.zeta * j % len(powers)].apply(shift) for j in range(len(powers) - 1))
+    return tuple(accumulate(steps, lambda s, v: (s[0] + v[0], s[1] + v[1]), initial=(0, 0)))
+
+
+def image_word(phi: DAutomorphism, prefix: tuple[Vec2Z, ...], d: DElement) -> DElement:
+    """The image (zeta q, s(q) + chi (m, n)) of A^q B^m C^n, given prefix = shift_prefix(theta, phi)."""
+    s1, s2 = prefix[d.q % len(prefix)]
+    chi = phi.chi
+    return DElement(phi.zeta * d.q, s1 + chi.a * d.m + chi.b * d.n, s2 + chi.c * d.m + chi.d * d.n)
+
+
+def apply_d_automorphism(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
+    """Image of a word under phi, in exact closed form (see shift_prefix)."""
+    return image_word(phi, shift_prefix(theta, phi), d)
 
 
 NOT_LIFTING = (
@@ -305,11 +319,6 @@ def enumerate_elastic(theta: Mat2Z, beta1_range, gamma1_range) -> list[DAutomorp
         sym_set = set(sym.elements)
         pairs = [(1, chi) for chi in sym.elements]
         pairs.extend((-1, chi) for chi in rev.elements if chi not in sym_set)
-    out = []
     for zeta, chi in pairs:
-        for beta1 in beta1_range:
-            for gamma1 in gamma1_range:
-                phi = DAutomorphism(zeta, chi, beta1, gamma1)
-                check_d_automorphism(theta, phi)
-                out.append(phi)
-    return out
+        check_d_automorphism(theta, DAutomorphism(zeta, chi, 0, 0))
+    return [DAutomorphism(z, chi, b, c) for z, chi in pairs for b in beta1_range for c in gamma1_range]

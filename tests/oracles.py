@@ -2,16 +2,17 @@
 
 Everything here recomputes a result by a different route than the library
 code it validates: plain 4x4 integer matrix products, RK4 integration of
-the frame field, exhaustive integer searches, the power-sum form of the
-word-level automorphism action, breadth-first word search, and finite
-differences of the group product and of group automorphisms.
+the frame field, exhaustive integer searches, the word-level automorphism
+action expanded through dpow and dmul (and the lattice check built on it),
+breadth-first word search, and finite differences of the group product and
+of group automorphisms.
 """
 
 from itertools import product
 
 import numpy as np
 
-from s2sym import BASIS_F, DElement, GroupPoint, Mat2Z, compose, dinv, dmul, theta_power
+from s2sym import BASIS_F, DElement, GroupPoint, Mat2Z, compose, dinv, dmul, dpow, embed_int
 from s2sym.autos import apply_group_auto_batch
 from s2sym.discrete import IDENTITY_WORD
 from s2sym.symmetry import DAutomorphism
@@ -48,20 +49,37 @@ def rk4_flow(g, nu_e, steps=1000):
     return x
 
 
-def word_image_closed_form(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
-    """Image of A^q B^m C^n under phi via the power-sum formula (q > 0 only)."""
-    assert d.q > 0
-    s = t = 0
-    for j in range(d.q):
-        v = theta_power(theta, -j * phi.zeta).apply((phi.beta1, phi.gamma1))
-        s += v[0]
-        t += v[1]
-    chi = phi.chi
-    return DElement(
-        d.q * phi.zeta,
-        s + d.m * chi.a + d.n * chi.b,
-        t + d.m * chi.c + d.n * chi.d,
-    )
+def word_image_by_expansion(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
+    """Image of A^q B^m C^n under phi, expanded as phi(A)^q phi(B)^m phi(C)^n through dpow and dmul."""
+    image_a = DElement(phi.zeta, phi.beta1, phi.gamma1)
+    image_b = DElement(0, phi.chi.a, phi.chi.c)
+    image_c = DElement(0, phi.chi.b, phi.chi.d)
+    out = dpow(theta, image_a, d.q)
+    out = dmul(theta, out, dpow(theta, image_b, d.m))
+    return dmul(theta, out, dpow(theta, image_c, d.n))
+
+
+def verify_extension_by_expansion(g, phi_d: DAutomorphism, phi_tilde, box: int) -> tuple[bool, float]:
+    """(passed, max_discrepancy) of verify_extension, with every image point
+    taken from word_image_by_expansion and the box mapped one q slice at a time."""
+    theta = g.theta
+    span = range(-box, box + 1)
+    scale_gd = max(abs(phi_tilde.gamma), abs(phi_tilde.delta))
+    max_disc = 0.0
+    passed = True
+    for q in span:
+        words = [DElement(q, m, n) for m in span for n in span]
+        x_src = np.array([embed_int(theta, w) for w in words], dtype=float)
+        x_img = np.array(
+            [embed_int(theta, word_image_by_expansion(theta, phi_d, w)) for w in words], dtype=float
+        )
+        mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
+        diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
+        scale = np.maximum(np.max(np.abs(x_src), axis=1), np.max(np.abs(x_img), axis=1))
+        tols = np.maximum(1e-9, 1e-12 * np.maximum(scale, scale_gd))
+        max_disc = max(max_disc, float(np.max(diffs)))
+        passed = passed and not np.any(diffs > tols)
+    return passed, max_disc
 
 
 def brute_force_commutants(theta: Mat2Z, bound: int = 5) -> set[Mat2Z]:

@@ -236,3 +236,22 @@ def test_internal_error_exits_four_with_one_line(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "s2sym: internal error: invariant failed\n"
+
+
+def test_lattice_points_apply_rejects_non_automorphism_before_output(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "lattice-points",
+        "--theta", "0,1,-1,0",
+        "--apply", "1,1,1,0,1,0,0",
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("s2sym: not an automorphism:")
+
+
+def test_classify_theta_large_branch(capsys):
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", "0,1,-1,0", "--branch", "1000001")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["n"] == 1000001

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -33,7 +34,7 @@ from s2sym import (
 )
 from s2sym.extension import _swap
 from s2sym.intmat import IDENTITY
-from oracles import gradient_at_identity
+from oracles import gradient_at_identity, verify_extension_by_expansion
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -256,3 +257,32 @@ def test_elastic_iff_extend_succeeds(theta, zeta, chi, beta1, gamma1):
         assert (verdict.kind, verdict.automorphism) == ("inelastic", phi_d)
     else:
         assert (verdict.kind, verdict.automorphism) == ("elastic", phi_d)
+
+
+@pytest.mark.parametrize("box", [3, 5])
+@pytest.mark.parametrize("theta", ALL_THETAS)
+def test_verify_matches_expansion_oracle(theta, box):
+    g = GROUPS[theta]
+    shifts = ((0, 0), (1, -2), (2**30 + 1, -3), (2**62 - 1, -(2**62)))
+    for i, phi in enumerate(enumerate_elastic(theta, [0], [0])):
+        phi_d = DAutomorphism(phi.zeta, phi.chi, *shifts[i % len(shifts)])
+        lifted = extend(g, phi_d)
+        # every other one with a wrong gamma, so that both verdicts are compared
+        params = replace(lifted, gamma=lifted.gamma + 0.1) if i % 2 else lifted
+        report = verify_extension(g, phi_d, params, box)
+        assert (report.passed, report.max_discrepancy) == verify_extension_by_expansion(g, phi_d, params, box)
+
+
+@pytest.mark.parametrize("bits", [25, 26, 30, 40, 62])
+def test_verify_passes_trace_minus_one_large_shifts(bits):
+    # the lifted map multiplies gamma and delta by sin(k q) and 1 - cos(k q);
+    # at q = +-3 their roundoff times the shift exceeds an absolute 1e-9
+    g = GROUPS[THETA3]
+    big = 2**bits
+    for phi_d in enumerate_elastic(THETA3, [big - 1, -big], [big, 3]):
+        lifted = extend(g, phi_d)
+        assert verify_extension(g, phi_d, lifted, 3).passed, phi_d
+        broken = GroupAutoParams(
+            lifted.epsilon, lifted.alpha, lifted.beta, lifted.gamma * (1 + 1e-9), lifted.delta, lifted.k
+        )
+        assert not verify_extension(g, phi_d, broken, 3).passed, phi_d

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from s2sym import (
@@ -263,3 +264,28 @@ def test_structure_constants(theta):
 def test_structure_constant_example(g4):
     C = structure_constants_fd(g4, "f")
     assert C[1, 0, 2] == pytest.approx(g4.k, abs=1e-6)
+
+
+# n is admissible when it is coprime to this modulus (the order of theta)
+BRANCH_MODULUS = {-2: 2, -1: 3, 0: 4, 1: 6}
+
+
+@pytest.mark.parametrize("theta", ALL_THETAS)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_make_group_large_branches(theta, data):
+    modulus = BRANCH_MODULUS[theta.trace()]
+    residue = data.draw(st.sampled_from([r for r in range(modulus) if math.gcd(r, modulus) == 1]))
+    n = modulus * data.draw(st.integers(0, 10**18 // modulus)) + residue
+    g = make_group(theta, n)
+    assert g.k == branch_k(theta.trace(), n)
+    assert np.linalg.det(g.A) == pytest.approx(g.k**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", ALL_THETAS)
+@pytest.mark.parametrize("exponent", [6, 12, 18])
+def test_make_group_power_of_ten_branches(theta, exponent):
+    modulus = BRANCH_MODULUS[theta.trace()]
+    n = 10**exponent + 1
+    n += (1 - n) % modulus  # the next n = 1 mod modulus
+    assert make_group(theta, n).n == n

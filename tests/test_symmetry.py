@@ -1,4 +1,5 @@
-import numpy as np
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +7,7 @@ from s2sym import (
     DAutomorphism,
     DElement,
     GeneratorTriple,
+    InvalidThetaError,
     Mat2Z,
     NotAnAutomorphismError,
     apply_d_automorphism,
@@ -15,13 +17,16 @@ from s2sym import (
     classify_symmetry,
     dmul,
     enumerate_elastic,
+    mat2z_pow,
     reversing_group,
     reversing_symmetry,
+    shift_prefix,
+    theta_order,
     theta_power,
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C
 from s2sym.intmat import IDENTITY, MINUS_IDENTITY
-from oracles import brute_force_commutants, brute_force_reversers, word_image_closed_form
+from oracles import brute_force_commutants, brute_force_reversers, word_image_by_expansion
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -183,14 +188,51 @@ def test_apply_is_a_homomorphism(d1, d2, data):
     assert lhs == rhs
 
 
-def test_apply_matches_closed_form_for_positive_q():
-    rng = np.random.default_rng(30)
-    for theta in (THETA3, THETA4, THETA6):
-        autos = enumerate_elastic(theta, range(-3, 4), range(-3, 4))
-        for _ in range(100):
-            phi = autos[rng.integers(0, len(autos))]
-            d = DElement(int(rng.integers(1, 4)), int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
-            assert apply_d_automorphism(theta, phi, d) == word_image_closed_form(theta, phi, d)
+# (zeta, chi) of automorphisms of D per theta: every elastic pair, and for
+# theta = -I two that do not lift (still automorphisms of D)
+AUTO_PAIRS = {
+    theta: [(phi.zeta, phi.chi) for phi in enumerate_elastic(theta, [0], [0])]
+    for theta in (THETA2, THETA3, THETA4, THETA6)
+}
+AUTO_PAIRS[THETA2] += [(1, Mat2Z(1, 1, 0, 1)), (-1, Mat2Z(2, 1, 1, 1))]
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_apply_matches_word_expansion(data):
+    theta = data.draw(st.sampled_from(list(AUTO_PAIRS)))
+    zeta = data.draw(st.sampled_from((1, -1)))
+    chi = data.draw(st.sampled_from([c for z, c in AUTO_PAIRS[theta] if z == zeta]))
+    shifts = st.integers(-(2**62), 2**62)
+    phi = DAutomorphism(zeta, chi, data.draw(shifts), data.draw(shifts))
+    d = DElement(data.draw(st.integers(-(2**64), 2**64)), data.draw(shifts), data.draw(shifts))
+    assert apply_d_automorphism(theta, phi, d) == word_image_by_expansion(theta, phi, d)
+
+
+def _admissible_thetas(bound: int = 3) -> list[Mat2Z]:
+    out = []
+    for entries in product(range(-bound, bound + 1), repeat=4):
+        try:
+            theta_order(Mat2Z(*entries))
+        except InvalidThetaError:
+            continue
+        out.append(Mat2Z(*entries))
+    return out
+
+
+def test_period_sum_is_zero_for_every_admissible_theta():
+    thetas = _admissible_thetas()
+    assert {theta.trace() for theta in thetas} == {-2, -1, 0, 1}
+    for theta in thetas:
+        p = theta_order(theta)
+        for zeta, chi in ((1, IDENTITY), (-1, reversing_symmetry(theta))):
+            powers = [mat2z_pow(theta, -zeta * j) for j in range(p)]
+            assert all(sum(getattr(m, e) for m in powers) == 0 for e in "abcd"), (theta, zeta)
+            # so phi(A)^p = A^(zeta p), and the table holds one period of the shifts
+            phi = DAutomorphism(zeta, chi, 3, -5)
+            assert word_image_by_expansion(theta, phi, DElement(p, 0, 0)) == DElement(zeta * p, 0, 0)
+            expanded = [word_image_by_expansion(theta, phi, DElement(r, 0, 0)) for r in range(p)]
+            assert shift_prefix(theta, phi) == tuple((w.m, w.n) for w in expanded)
 
 
 def test_classification_examples():
