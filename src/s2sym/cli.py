@@ -215,7 +215,9 @@ def cmd_lattice_points(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: 
                 if auto is not None:
                     img = image_word(auto, prefix, word)
                     y1, y2, y3 = embed_int(theta, img)
-                    record.update({"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3})
+                    record.update(
+                        {"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3}
+                    )
                 if fmt == JSON_FORMAT:
                     print(dump_json(record))
                 else:

@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, NotElasticError, SingularFError
-from .intmat import theta_order, theta_power, theta_powers
+from .intmat import theta_order, theta_power
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
 from .discrete import DElement, embed_int
-from .symmetry import NOT_LIFTING, DAutomorphism, check_d_automorphism, image_word, lifts, shift_prefix
+from .symmetry import NOT_LIFTING, DAutomorphism, check_d_automorphism, lifts
+from .symmetry import box_points, image_word, shift_prefix
 
 _FORM_TOL = 1e-9
+_ROWS_PER_PASS = 2**14
 
 
 def _swap(eps: int) -> np.ndarray:
@@ -112,31 +114,29 @@ def verify_extension(
     """Compare phi_d (exact words) with phi_tilde (lifted map) on all words
     with |q|, |m|, |n| <= box, in "f" coordinates.
 
-    The exact integer points of the box and of their images (the closed form
-    (zeta q, s(q) + chi (m, n))) are mapped in one float pass. A word passes
-    within max(1e-9, 1e-12 * scale), scale the largest of its point entries
-    and |gamma|, |delta|: the roundoff of sin(k q) gamma need not show in
-    the points (sin(2 pi) gamma at q = +-3 for trace -1).
+    The exact integer points of the words and of their images (box_points)
+    are mapped a float pass at a time, each of at most about _ROWS_PER_PASS
+    rows, so memory stays O(box^2). A word passes within
+    max(1e-9, 1e-12 * scale), scale the largest of its point entries and,
+    for q != 0, of |gamma| and |delta|: the roundoff of sin(k q) gamma need
+    not show in the points (sin(2 pi) gamma at q = +-3 for trace -1).
     """
     prefix = shift_prefix(g.theta, phi_d)
-    powers = theta_powers(g.theta)
-    p, zeta = len(powers), phi_d.zeta
     span = range(-box, box + 1)
-    plane = [(m, n) for m in span for n in span]
-    sources, images = [], []
-    for q in span:
-        t, ti = powers[q % p], powers[zeta * q % p]
-        u, (o1, o2) = ti @ phi_d.chi, ti.apply(prefix[q % p])
-        sources += [(t.a * m + t.b * n, t.c * m + t.d * n, q) for m, n in plane]
-        images += [(u.a * m + u.b * n + o1, u.c * m + u.d * n + o2, zeta * q) for m, n in plane]
-    x_src = np.array(sources, dtype=float)
-    x_img = np.array(images, dtype=float)
-    mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
-    diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
+    step = max(1, _ROWS_PER_PASS // len(span) ** 2)
     gamma_delta = max(abs(phi_tilde.gamma), abs(phi_tilde.delta))
-    scale = np.maximum(np.abs(np.hstack((x_src, x_img))).max(axis=1), gamma_delta)
-    passed = not np.any(diffs > np.maximum(1e-9, 1e-12 * scale))
-    return ExtensionReport(phi_d, phi_tilde, float(np.max(diffs)), box, g.k, passed)
+    max_disc, passed = 0.0, True
+    for i in range(0, len(span), step):
+        sources, images = box_points(g.theta, phi_d, prefix, span[i : i + step], span)
+        x_src = np.array(sources, dtype=float)
+        x_img = np.array(images, dtype=float)
+        mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
+        diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
+        points = np.abs(np.hstack((x_src, x_img))).max(axis=1)
+        scale = np.maximum(points, np.where(x_src[:, 2] != 0, gamma_delta, 0.0))
+        max_disc = max(max_disc, float(np.max(diffs)))
+        passed = passed and not np.any(diffs > np.maximum(1e-9, 1e-12 * scale))
+    return ExtensionReport(phi_d, phi_tilde, max_disc, box, g.k, passed)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,11 @@ class Mat2Z:
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
 
+    @classmethod
+    def from_rows(cls, rows) -> "Mat2Z":
+        (a, b), (c, d) = rows
+        return cls(int(a), int(b), int(c), int(d))
+
 
 IDENTITY = Mat2Z(1, 0, 0, 1)
 MINUS_IDENTITY = Mat2Z(-1, 0, 0, -1)

@@ -38,6 +38,11 @@ _BRANCH_RULES = {
     1: (6, (1, 5), math.pi / 3.0),
 }
 
+# The float k = unit * n, hence the phase of phi(1), is off by up to |k| eps;
+# make_group refuses |k| > K_LIMIT = 1e-9 / eps ~ 4.5e6 (|n| > 1.4e6 to 4.3e6).
+_EPS = np.finfo(float).eps
+K_LIMIT = 1e-9 / _EPS
+
 BASIS_E = "e"
 BASIS_F = "f"
 _BASES = (BASIS_E, BASIS_F)
@@ -129,16 +134,18 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     For theta = -I the derivative A is not pinned down by theta; we fix the
     canonical choice A = ((0, k), (-k, 0)) so that A[0,1] != 0 and M stays
     invertible. Any other choice gives an isomorphic instance.
+    Branches with |k| > K_LIMIT raise InvalidParametersError.
     """
     theta_order(theta)  # validates theta
     k = branch_k(theta.trace(), n)
-    modulus, _, unit = _branch_rule(theta.trace())
-    phase = unit * (n % modulus)  # k mod 2 pi, reduced exactly: trig of a large float k is noise
+    if abs(k) > K_LIMIT:
+        raise InvalidParametersError(f"branch n={n} too large: |k| > K_LIMIT = {K_LIMIT:.4g}")
     if theta == MINUS_IDENTITY:
         A = np.array([[0.0, k], [-k, 0.0]])
     else:
         a, b, c, d = theta.a, theta.b, theta.c, theta.d
-        scale = k / math.sin(phase)
+        modulus, _, unit = _branch_rule(theta.trace())
+        scale = k / math.sin(unit * (n % modulus))  # the sine of k reduced exactly, not of float k
         A = scale * np.array([[0.5 * (a - d), float(b)], [float(c), -0.5 * (a - d)]])
     bp0 = A[0, 1]
     if abs(bp0) < 1e-12:
@@ -164,10 +171,10 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
         M_invT=_freeze(M_invT),
         S=_freeze(S),
     )
-    # phi(1) must reproduce theta; anything else is a construction bug.
-    phi1 = math.cos(phase) * np.eye(2) + (math.sin(phase) / k) * A
-    err = np.max(np.abs(phi1 - np.array(theta.rows(), dtype=float)))
-    if err > 1e-10:
+    # phi(1) must reproduce theta up to the roundoff of k; anything else is a construction bug.
+    target = np.array(theta.rows(), dtype=float)
+    err = np.max(np.abs(phi_of(g, 1.0) - target))
+    if err > max(1e-10, 4.0 * _EPS * abs(k) * np.max(np.abs(target))):
         raise InternalInconsistencyError(f"phi(1) differs from theta by {err:.3e}")
     return g
 

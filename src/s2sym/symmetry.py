@@ -234,6 +234,21 @@ def image_word(phi: DAutomorphism, prefix: tuple[Vec2Z, ...], d: DElement) -> DE
     return DElement(phi.zeta * d.q, s1 + chi.a * d.m + chi.b * d.n, s2 + chi.c * d.m + chi.d * d.n)
 
 
+def box_points(theta: Mat2Z, phi: DAutomorphism, prefix: tuple[Vec2Z, ...], qs, span) -> tuple[list, list]:
+    """embed_int of the words A^q B^m C^n (q in qs, m and n in span) and of
+    their image_word under phi, as two lists of exact points, q slice by q slice."""
+    powers = theta_powers(theta)
+    p, zeta = len(powers), phi.zeta
+    plane = [(m, n) for m in span for n in span]
+    sources, images = [], []
+    for q in qs:
+        t, ti = powers[q % p], powers[zeta * q % p]
+        u, (o1, o2) = ti @ phi.chi, ti.apply(prefix[q % p])
+        sources += [(t.a * m + t.b * n, t.c * m + t.d * n, q) for m, n in plane]
+        images += [(u.a * m + u.b * n + o1, u.c * m + u.d * n + o2, zeta * q) for m, n in plane]
+    return sources, images
+
+
 def apply_d_automorphism(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
     """Image of a word under phi, in exact closed form (see shift_prefix)."""
     return image_word(phi, shift_prefix(theta, phi), d)
@@ -319,6 +334,11 @@ def enumerate_elastic(theta: Mat2Z, beta1_range, gamma1_range) -> list[DAutomorp
         sym_set = set(sym.elements)
         pairs = [(1, chi) for chi in sym.elements]
         pairs.extend((-1, chi) for chi in rev.elements if chi not in sym_set)
+    out = []
     for zeta, chi in pairs:
-        check_d_automorphism(theta, DAutomorphism(zeta, chi, 0, 0))
-    return [DAutomorphism(z, chi, b, c) for z, chi in pairs for b in beta1_range for c in gamma1_range]
+        for beta1 in beta1_range:
+            for gamma1 in gamma1_range:
+                phi = DAutomorphism(zeta, chi, beta1, gamma1)
+                check_d_automorphism(theta, phi)
+                out.append(phi)
+    return out

@@ -76,7 +76,9 @@ def verify_extension_by_expansion(g, phi_d: DAutomorphism, phi_tilde, box: int) 
         mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
         diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
         scale = np.maximum(np.max(np.abs(x_src), axis=1), np.max(np.abs(x_img), axis=1))
-        tols = np.maximum(1e-9, 1e-12 * np.maximum(scale, scale_gd))
+        if q != 0:  # sin(k q) and 1 - cos(k q) vanish exactly at q = 0
+            scale = np.maximum(scale, scale_gd)
+        tols = np.maximum(1e-9, 1e-12 * scale)
         max_disc = max(max_disc, float(np.max(diffs)))
         passed = passed and not np.any(diffs > tols)
     return passed, max_disc

@@ -255,3 +255,9 @@ def test_classify_theta_large_branch(capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["n"] == 1000001
+
+
+def test_classify_theta_refuses_branch_beyond_k_limit(capsys):
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", "0,1,-1,0", "--branch", str(10**18 + 1))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "K_LIMIT" in err

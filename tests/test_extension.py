@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -32,6 +33,7 @@ from s2sym import (
     uniqueness_probe,
     verify_extension,
 )
+import s2sym.extension as extension_module
 from s2sym.extension import _swap
 from s2sym.intmat import IDENTITY
 from oracles import gradient_at_identity, verify_extension_by_expansion
@@ -273,6 +275,18 @@ def test_verify_matches_expansion_oracle(theta, box):
         assert (report.passed, report.max_discrepancy) == verify_extension_by_expansion(g, phi_d, params, box)
 
 
+@pytest.mark.parametrize("rows_per_pass", [1, 100, 150])
+def test_verify_in_several_passes_matches_expansion_oracle(monkeypatch, rows_per_pass):
+    # 49 rows per q slice at box 3: passes of 1, 2 and 3 slices, the last one short
+    monkeypatch.setattr(extension_module, "_ROWS_PER_PASS", rows_per_pass)
+    g = GROUPS[THETA3]
+    for phi_d in enumerate_elastic(THETA3, [2**30 + 1], [-3]):
+        lifted = extend(g, phi_d)
+        for params in (lifted, replace(lifted, gamma=lifted.gamma + 0.1)):
+            report = verify_extension(g, phi_d, params, 3)
+            assert (report.passed, report.max_discrepancy) == verify_extension_by_expansion(g, phi_d, params, 3)
+
+
 @pytest.mark.parametrize("bits", [25, 26, 30, 40, 62])
 def test_verify_passes_trace_minus_one_large_shifts(bits):
     # the lifted map multiplies gamma and delta by sin(k q) and 1 - cos(k q);
@@ -286,3 +300,31 @@ def test_verify_passes_trace_minus_one_large_shifts(bits):
             lifted.epsilon, lifted.alpha, lifted.beta, lifted.gamma * (1 + 1e-9), lifted.delta, lifted.k
         )
         assert not verify_extension(g, phi_d, broken, 3).passed, phi_d
+
+
+@pytest.mark.parametrize("bits", [40, 62])
+@pytest.mark.parametrize("theta", ALL_THETAS)
+def test_verify_detects_wrong_alpha_beta_with_large_shifts(theta, bits):
+    # gamma and delta enter through sin(k q) and 1 - cos(k q), which vanish at
+    # q = 0, so a large shift must not loosen the tolerance of those rows
+    g = GROUPS[theta]
+    for phi_d in enumerate_elastic(theta, [2**bits - 1], [-(2**bits)]):
+        lifted = extend(g, phi_d)
+        size = math.hypot(lifted.alpha, lifted.beta)
+        for field in ("alpha", "beta"):
+            broken = replace(lifted, **{field: getattr(lifted, field) + 1e-8 * size})
+            assert not verify_extension(g, phi_d, broken, 3).passed, (phi_d, field)
+
+
+def test_verify_memory_stays_flat_in_the_box():
+    # one float pass over all 41^3 rows would peak near 25 MiB
+    g = GROUPS[THETA3]
+    phi_d = DAutomorphism(1, THETA3, 3, -2)
+    lifted = extend(g, phi_d)
+    tracemalloc.start()
+    try:
+        assert verify_extension(g, phi_d, lifted, 20).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

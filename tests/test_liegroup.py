@@ -12,8 +12,10 @@ from s2sym import (
     bracket,
     compose,
     convert_basis,
+    enumerate_elastic,
     epoint,
     exp_map,
+    extend,
     f_structure_constants,
     first_branches,
     fpoint,
@@ -22,7 +24,9 @@ from s2sym import (
     make_group,
     phi_of,
     two_exp_decompose,
+    verify_extension,
 )
+from s2sym.liegroup import K_LIMIT
 from oracles import rk4_flow, structure_constants_fd
 
 THETA4 = Mat2Z(0, 1, -1, 0)
@@ -270,22 +274,43 @@ def test_structure_constant_example(g4):
 BRANCH_MODULUS = {-2: 2, -1: 3, 0: 4, 1: 6}
 
 
+def largest_branch(theta):
+    """The largest admissible n whose |k| is at most K_LIMIT."""
+    trace = theta.trace()
+    n = int(K_LIMIT / branch_k(trace, 1)) + BRANCH_MODULUS[trace]
+    while math.gcd(n, BRANCH_MODULUS[trace]) != 1 or branch_k(trace, n) > K_LIMIT:
+        n -= 1
+    return n
+
+
 @pytest.mark.parametrize("theta", ALL_THETAS)
 @given(data=st.data())
 @settings(max_examples=40)
-def test_make_group_large_branches(theta, data):
-    modulus = BRANCH_MODULUS[theta.trace()]
-    residue = data.draw(st.sampled_from([r for r in range(modulus) if math.gcd(r, modulus) == 1]))
-    n = modulus * data.draw(st.integers(0, 10**18 // modulus)) + residue
+def test_make_group_up_to_k_limit(theta, data):
+    top = largest_branch(theta)
+    n = data.draw(st.one_of(st.integers(1, top), st.integers(top - 100, top)).filter(
+        lambda n: math.gcd(n, BRANCH_MODULUS[theta.trace()]) == 1
+    ))
+    n *= data.draw(st.sampled_from((1, -1)))
     g = make_group(theta, n)
     assert g.k == branch_k(theta.trace(), n)
     assert np.linalg.det(g.A) == pytest.approx(g.k**2, rel=1e-12)
+    # the group's own phi(1), not a formula beside it, reproduces theta
+    assert np.max(np.abs(phi_of(g, 1.0) - np.array(theta.rows(), dtype=float))) <= 2e-9
 
 
 @pytest.mark.parametrize("theta", ALL_THETAS)
-@pytest.mark.parametrize("exponent", [6, 12, 18])
-def test_make_group_power_of_ten_branches(theta, exponent):
+def test_make_group_refuses_branches_beyond_k_limit(theta):
     modulus = BRANCH_MODULUS[theta.trace()]
-    n = 10**exponent + 1
-    n += (1 - n) % modulus  # the next n = 1 mod modulus
-    assert make_group(theta, n).n == n
+    beyond = largest_branch(theta) + modulus
+    for n in (beyond, -beyond, 10**18 + 1 + (-(10**18) % modulus)):
+        with pytest.raises(InvalidParametersError, match="K_LIMIT"):
+            make_group(theta, n)
+
+
+@pytest.mark.parametrize("theta", ALL_THETAS)
+def test_extension_verifies_at_the_largest_branch(theta):
+    g = make_group(theta, largest_branch(theta))
+    for phi_d in enumerate_elastic(theta, [0, 3, 2**40], [-2]):
+        lifted = extend(g, phi_d)
+        assert verify_extension(g, phi_d, lifted, 3).passed, phi_d
