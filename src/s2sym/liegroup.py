@@ -118,10 +118,6 @@ class S2Group:
     M_invT: np.ndarray
     S: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return theta_order(self.theta)
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -3,7 +3,12 @@
 S(theta) is the centralizer of theta in GL2(Z); R(theta) additionally
 contains the matrices conjugating theta to its inverse. For admissible
 non-scalar theta both are finite (cyclic of order 4 or 6, dihedral of order
-8 or 12); for theta = -I they are all of GL2(Z).
+8 or 12); for theta = -I they are all of GL2(Z). R(theta) is S(theta) and
+the coset Lambda S(theta) of one reversing symmetry Lambda. For non-scalar
+theta the reversing symmetries are the reflections in an integer plane of
+traceless matrices, on which x^2 + y z = -det is positive definite with
+minimum 1; an exact Lagrange reduction finds one, and the coset member with
+the lexicographically largest rows is Lambda.
 
 A change of generators of D extends to an automorphism of D exactly when
 the images of B and C carry no power of A, the image of A carries A to the
@@ -16,9 +21,8 @@ continuous group, which lifts decides exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError
 from .intmat import (
@@ -68,89 +72,44 @@ def centralizer(theta: Mat2Z) -> SymmetryGroup:
     return SymmetryGroup(label, elements)
 
 
-def _nullspace_basis(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the rational nullspace of an integer matrix.
-
-    Each basis vector is scaled to coprime integers with its first nonzero
-    entry positive; the basis is sorted lexicographically descending so the
-    downstream search is deterministic.
-    """
-    m = [[Fraction(v) for v in row] for row in rows]
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        # scale to primitive integers with sign normalisation
-        den = lcm(*(x.denominator for x in v))
-        ints = [int(x * den) for x in v]
-        g = gcd(*ints)
-        if g:
-            ints = [x // g for x in ints]
-        lead = next((x for x in ints if x != 0), 1)
-        if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(tuple(ints))
-    basis.sort(reverse=True)
-    return basis
-
-
 def reversing_symmetry(theta: Mat2Z) -> Mat2Z:
-    """Some unimodular Lambda with Lambda theta Lambda^{-1} = theta^{-1}.
+    """The reversing symmetry Lambda (Lambda theta Lambda^{-1} = theta^{-1}) with the
+    lexicographically largest rows.
 
-    Found by solving Lambda theta = theta^{-1} Lambda over the integers
-    (a rank-2 solution space) and scanning small coefficient pairs for a
-    unimodular combination; the scan order is fixed, so the result is
-    deterministic. For theta = -I every matrix works and diag(1, -1) is
-    returned.
+    For non-scalar theta = ((a, b), (c, d)) the integer solutions of
+    Lambda theta = theta^{-1} Lambda form the plane Lambda = ((x, y), (z, -x)),
+    (a - d) x + c y + b z = 0. Since (a - d)^2 + 4 b c = tr^2 - 4 is -3 or -4,
+    gcd(a - d, b, c) = 1, and with g = gcd(b, c) the plane has the integer basis
+    (0, b/g, -c/g), (g, -(a - d) u, -(a - d)(1 - u c/g)/(b/g)) with u c/g = 1 mod b/g.
+    -det Lambda = x^2 + y z is positive definite there with minimum 1, so an
+    exact Lagrange reduction of 2(x^2 + y z) puts a reflection first. Every
+    reversing symmetry lies in its coset Lambda S(theta); the lexicographically
+    largest rows of that coset are returned. For theta = -I every matrix works
+    and diag(1, -1) is returned.
     """
     theta_order(theta)
     if theta == MINUS_IDENTITY:
         return Mat2Z(1, 0, 0, -1)
-    a, b, c, d = theta.a, theta.b, theta.c, theta.d
-    rows = [
-        [a - d, c, b, 0],
-        [b, 0, 0, b],
-        [c, 0, 0, c],
-        [0, c, b, d - a],
-    ]
-    basis = _nullspace_basis(rows)
-    if len(basis) != 2:
-        raise InternalInconsistencyError(
-            f"reversing-symmetry solution space has rank {len(basis)}, expected 2"
-        )
-    v1, v2 = basis
-    theta_inv = theta.inv()
-    for radius in range(1, 11):
-        for c1 in range(radius, -radius - 1, -1):
-            for c2 in range(radius, -radius - 1, -1):
-                if max(abs(c1), abs(c2)) != radius:
-                    continue
-                cand = Mat2Z(*(c1 * x + c2 * y for x, y in zip(v1, v2)))
-                if abs(cand.det()) != 1:
-                    continue
-                if cand @ theta != theta_inv @ cand:
-                    raise InternalInconsistencyError("nullspace vector fails the defining relation")
-                return cand
-    raise InternalInconsistencyError("no unimodular reversing symmetry in the search box")
+    e, g = theta.a - theta.d, gcd(theta.b, theta.c)
+    b, c = theta.b // g, theta.c // g
+    u = pow(c, -1, abs(b))
+    v, w = (0, b, -c), (g, -e * u, -e * (1 - u * c) // b)
+
+    def form(s, t):  # the bilinear form of 2 (x^2 + y z)
+        return 2 * s[0] * t[0] + s[1] * t[2] + s[2] * t[1]
+
+    while True:
+        v, w = sorted((v, w), key=lambda s: form(s, s))
+        k = (2 * form(v, w) + form(v, v)) // (2 * form(v, v))
+        if k == 0:
+            break
+        w = tuple(t - k * s for s, t in zip(v, w))
+    lam = Mat2Z(v[0], v[1], v[2], -v[0])
+    if abs(lam.det()) != 1:
+        raise InternalInconsistencyError(f"reduced plane vector {lam} is not unimodular")
+    if lam @ theta != theta.inv() @ lam:
+        raise InternalInconsistencyError("plane vector fails the defining relation")
+    return max((lam @ s for s in _signed_powers(theta)), key=Mat2Z.rows)
 
 
 def reversing_group(theta: Mat2Z) -> SymmetryGroup:
@@ -336,9 +295,6 @@ def enumerate_elastic(theta: Mat2Z, beta1_range, gamma1_range) -> list[DAutomorp
         pairs.extend((-1, chi) for chi in rev.elements if chi not in sym_set)
     out = []
     for zeta, chi in pairs:
-        for beta1 in beta1_range:
-            for gamma1 in gamma1_range:
-                phi = DAutomorphism(zeta, chi, beta1, gamma1)
-                check_d_automorphism(theta, phi)
-                out.append(phi)
+        check_d_automorphism(theta, DAutomorphism(zeta, chi, 0, 0))
+        out.extend(DAutomorphism(zeta, chi, b1, g1) for b1 in beta1_range for g1 in gamma1_range)
     return out

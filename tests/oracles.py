@@ -12,7 +12,19 @@ from itertools import product
 
 import numpy as np
 
-from s2sym import BASIS_F, DElement, GroupPoint, Mat2Z, compose, dinv, dmul, dpow, embed_int
+from s2sym import (
+    BASIS_F,
+    DElement,
+    GroupPoint,
+    InvalidThetaError,
+    Mat2Z,
+    compose,
+    dinv,
+    dmul,
+    dpow,
+    embed_int,
+    theta_order,
+)
 from s2sym.autos import apply_group_auto_batch
 from s2sym.discrete import IDENTITY_WORD
 from s2sym.symmetry import DAutomorphism
@@ -108,6 +120,18 @@ def brute_force_reversers(theta: Mat2Z, bound: int = 5) -> set[Mat2Z]:
             continue
         if chi @ theta == theta_inv @ chi:
             out.add(chi)
+    return out
+
+
+def admissible_thetas(bound: int) -> list[Mat2Z]:
+    """All admissible theta (theta_order accepts them) with entries in [-bound, bound]."""
+    out = []
+    for entries in product(range(-bound, bound + 1), repeat=4):
+        try:
+            theta_order(Mat2Z(*entries))
+        except InvalidThetaError:
+            continue
+        out.append(Mat2Z(*entries))
     return out
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from s2sym import InternalInconsistencyError, cli
 from s2sym.cli import main
+from s2sym.intmat import MINUS_IDENTITY
+from oracles import admissible_thetas
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +36,24 @@ def test_classify_theta_minus_identity(capsys):
     assert report["S_label"] == "GL2Z"
     assert report["R_label"] == "GL2Z"
     assert report["S_elements"] is None
+
+
+@pytest.mark.parametrize("theta", ["3,1,-10,-3", "-3,-2,5,3"])
+def test_classify_theta_conjugated_trace_zero(capsys, theta):
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", theta)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["R_label"] == "D4" and report["R_order"] == 8
+
+
+def test_classify_theta_answers_every_small_theta(capsys):
+    thetas = [t for t in admissible_thetas(5) if t != MINUS_IDENTITY]
+    assert len(thetas) == 50
+    for t in thetas:
+        code, out, err = run_cli(capsys, "classify-theta", "--theta", f"{t.a},{t.b},{t.c},{t.d}")
+        assert code == 0 and err == "", (t, err)
+        report = json.loads(out)
+        assert report["R_order"] == 2 * report["S_order"]
 
 
 def test_classify_theta_rejects_trace_three(capsys):

@@ -1,4 +1,4 @@
-from itertools import product
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,6 @@ from s2sym import (
     DAutomorphism,
     DElement,
     GeneratorTriple,
-    InvalidThetaError,
     Mat2Z,
     NotAnAutomorphismError,
     apply_d_automorphism,
@@ -17,16 +16,19 @@ from s2sym import (
     classify_symmetry,
     dmul,
     enumerate_elastic,
+    extend,
+    make_group,
     mat2z_pow,
     reversing_group,
     reversing_symmetry,
     shift_prefix,
     theta_order,
     theta_power,
+    verify_extension,
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C
 from s2sym.intmat import IDENTITY, MINUS_IDENTITY
-from oracles import brute_force_commutants, brute_force_reversers, word_image_by_expansion
+from oracles import admissible_thetas, brute_force_commutants, brute_force_reversers, word_image_by_expansion
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -34,6 +36,26 @@ THETA6 = Mat2Z(1, 1, -1, 0)
 THETA2 = MINUS_IDENTITY
 
 words = st.builds(DElement, st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
+
+THETA_ID = "{0.a},{0.b},{0.c},{0.d}".format
+
+# every element of R(theta) for these has entries of at most 5, so a bound-5
+# brute force finds all of R(theta)
+NONSCALAR_THETAS = [theta for theta in admissible_thetas(5) if theta != MINUS_IDENTITY]
+# R(theta) of (3, 1, -10, -3) has entries up to 10; its reversing symmetry
+# ((1, 0), (-6, -1)) is v1/5 - 3 v2/5 in the primitive rational basis
+# v1 = (5, 3, 0, -5), v2 = (0, 1, 10, 0), so integer combinations miss it
+WIDE_THETAS = NONSCALAR_THETAS + [Mat2Z(3, 1, -10, -3)]
+R_BY_TRACE = {0: ("D4", 8), 1: ("D6", 12), -1: ("D6", 12)}
+
+# elementary moves of GL2(Z): the four unit shears, the swap and a sign change
+MOVES = (Mat2Z(1, 1, 0, 1), Mat2Z(1, -1, 0, 1), Mat2Z(1, 0, 1, 1), Mat2Z(1, 0, -1, 1),
+         Mat2Z(0, 1, 1, 0), Mat2Z(-1, 0, 0, 1))
+conjugates = st.builds(
+    lambda theta0, moves: reduce(lambda t, m: m @ t @ m.inv(), moves, theta0),
+    st.sampled_from([THETA3, THETA4, THETA6]),
+    st.lists(st.sampled_from(MOVES), max_size=12),
+)
 
 
 def test_centralizer_trace_zero():
@@ -71,23 +93,27 @@ def test_reversing_symmetry_examples():
     assert lam @ THETA4 @ lam.inv() != THETA4
 
 
-@pytest.mark.parametrize("theta", [THETA3, THETA4, THETA6])
+def _assert_largest_reverser(theta, lam):
+    assert abs(lam.det()) == 1
+    assert lam @ theta == theta.inv() @ lam
+    assert lam == max((lam @ s for s in centralizer(theta).elements), key=Mat2Z.rows)
+
+
+@pytest.mark.parametrize("theta", WIDE_THETAS, ids=THETA_ID)
 def test_reversing_symmetry_is_valid(theta):
     lam = reversing_symmetry(theta)
-    assert abs(lam.det()) == 1
     assert lam @ theta @ lam.inv() == theta.inv()
+    _assert_largest_reverser(theta, lam)
 
 
 def test_reversing_symmetry_minus_identity():
     assert reversing_symmetry(THETA2) == Mat2Z(1, 0, 0, -1)
 
 
-@pytest.mark.parametrize(
-    "theta,label,size", [(THETA4, "D4", 8), (THETA3, "D6", 12), (THETA6, "D6", 12)]
-)
-def test_reversing_group_structure(theta, label, size):
+@pytest.mark.parametrize("theta", WIDE_THETAS, ids=THETA_ID)
+def test_reversing_group_structure(theta):
     rev = reversing_group(theta)
-    assert rev.label == label and rev.order == size
+    assert (rev.label, rev.order) == R_BY_TRACE[theta.trace()]
     elements = set(rev.elements)
     sym = set(centralizer(theta).elements)
     assert sym < elements and len(elements) == 2 * len(sym)
@@ -102,11 +128,29 @@ def test_reversing_group_structure(theta, label, size):
             assert r @ s @ r.inv() in sym
 
 
-@pytest.mark.parametrize("theta", [THETA3, THETA4, THETA6])
+@pytest.mark.parametrize("theta", NONSCALAR_THETAS, ids=THETA_ID)
 def test_reversing_group_matches_brute_force(theta):
     rev = set(reversing_group(theta).elements)
     expected = brute_force_commutants(theta, 5) | brute_force_reversers(theta, 5)
     assert rev == expected
+
+
+@given(conjugates)
+@settings(max_examples=200)
+def test_reversing_symmetry_of_conjugates(theta):
+    _assert_largest_reverser(theta, reversing_symmetry(theta))
+    rev = reversing_group(theta)
+    assert (rev.label, rev.order) == R_BY_TRACE[theta.trace()]
+
+
+@pytest.mark.parametrize("theta", NONSCALAR_THETAS, ids=THETA_ID)
+def test_every_automorphism_lifts_and_verifies(theta):
+    g = make_group(theta, 1)
+    autos = enumerate_elastic(theta, [2], [-1])
+    assert len(autos) == reversing_group(theta).order
+    for phi in autos:
+        report = verify_extension(g, phi, extend(g, phi), 2)
+        assert report.passed, (phi, report)
 
 
 def test_reversing_group_minus_identity():
@@ -209,19 +253,8 @@ def test_apply_matches_word_expansion(data):
     assert apply_d_automorphism(theta, phi, d) == word_image_by_expansion(theta, phi, d)
 
 
-def _admissible_thetas(bound: int = 3) -> list[Mat2Z]:
-    out = []
-    for entries in product(range(-bound, bound + 1), repeat=4):
-        try:
-            theta_order(Mat2Z(*entries))
-        except InvalidThetaError:
-            continue
-        out.append(Mat2Z(*entries))
-    return out
-
-
 def test_period_sum_is_zero_for_every_admissible_theta():
-    thetas = _admissible_thetas()
+    thetas = admissible_thetas(3)
     assert {theta.trace() for theta in thetas} == {-2, -1, 0, 1}
     for theta in thetas:
         p = theta_order(theta)
