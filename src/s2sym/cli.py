@@ -13,6 +13,10 @@ identical invocations produce byte-identical reports. Exit codes: 0 success,
 negative where the command demands a positive one, such as extending an
 automorphism that is not elastic), 4 internal error (a guaranteed invariant
 failed, which is a bug; reported on one line instead of a traceback).
+
+Only classify-theta and extend need the float layers (liegroup, extension,
+numpy). They import them inside the command, after theta has been validated,
+so check-generators, lattice-points and every rejected theta run without numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from functools import partial
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError, NotElasticError
 from .intmat import Mat2Z, theta_order
-from .liegroup import branch_k, first_branches, make_group
 from .discrete import DElement, GeneratorTriple, embed_int
 from .symmetry import (
     DAutomorphism,
@@ -34,8 +37,6 @@ from .symmetry import (
     reversing_group,
     shift_prefix,
 )
-from .extension import extend as extend_auto
-from .extension import uniqueness_probe, verify_extension
 
 JSON_FORMAT = "json"
 TEXT_FORMAT = "text"
@@ -101,10 +102,6 @@ def _parse_word(text: str, flag: str) -> DElement:
     return DElement(*_parse_ints(text, 3, flag))
 
 
-def _default_branch(theta: Mat2Z) -> int:
-    return first_branches(theta.trace(), 1)[0]
-
-
 def _parse_apply(text: str) -> DAutomorphism:
     zeta, a, b, c, d, beta1, gamma1 = _parse_ints(text, 7, "--apply")
     return DAutomorphism(zeta, Mat2Z(a, b, c, d), beta1, gamma1)
@@ -112,10 +109,12 @@ def _parse_apply(text: str) -> DAutomorphism:
 
 def cmd_classify_theta(theta: Mat2Z, n: int | None, fmt: str) -> int:
     p = theta_order(theta)
-    if n is None:
-        n = _default_branch(theta)
-    g = make_group(theta, n)
+    from .liegroup import branch_k, first_branches, make_group
+
     branches = first_branches(theta.trace(), 2)
+    if n is None:
+        n = branches[0]
+    g = make_group(theta, n)
     sym = centralizer(theta)
     rev = reversing_group(theta)
     report = {
@@ -173,10 +172,14 @@ def cmd_check_generators(theta: Mat2Z, triple: GeneratorTriple, fmt: str) -> int
 
 
 def cmd_extend(theta: Mat2Z, n: int | None, phi_d: DAutomorphism, box: int, fmt: str) -> int:
+    theta_order(theta)
+    from .extension import extend, uniqueness_probe, verify_extension
+    from .liegroup import first_branches, make_group
+
     if n is None:
-        n = _default_branch(theta)
+        n = first_branches(theta.trace(), 1)[0]
     g = make_group(theta, n)
-    lifted = extend_auto(g, phi_d)
+    lifted = extend(g, phi_d)
     check = verify_extension(g, phi_d, lifted, box)
     probe = uniqueness_probe(g, phi_d)
     report = {

@@ -8,8 +8,8 @@ product. The multiplication rule on normal forms,
 
     (q1, m1, n1) * (q2, m2, n2) = (q1 + q2, theta^{-q2} (m1, n1) + (m2, n2)),
 
-is forced by the 4x4 matrix representation rmat, which doubles as an
-independent oracle for it in the tests.
+is forced by the 4x4 integer matrix representation of D; the test oracles
+check it against that representation. Nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import NotGeneratingError
 from .intmat import Mat2Z, Vec2Z, hcf_all, theta_power
-from .liegroup import S2Group, GroupPoint, epoint
 
 
 @dataclass(frozen=True)
@@ -61,40 +60,10 @@ def dpow(theta: Mat2Z, d: DElement, e: int) -> DElement:
     return result
 
 
-def dcommutator(theta: Mat2Z, d1: DElement, d2: DElement) -> DElement:
-    """d1^{-1} d2^{-1} d1 d2 in normal form."""
-    out = dmul(theta, dinv(theta, d1), dinv(theta, d2))
-    out = dmul(theta, out, d1)
-    return dmul(theta, out, d2)
-
-
-def rmat(theta: Mat2Z, d: DElement) -> tuple[tuple[int, ...], ...]:
-    """The 4x4 integer matrix representation of a normal-form word."""
-    tq = theta_power(theta, d.q)
-    t1, t2 = tq.apply((d.m, d.n))
-    return (
-        (tq.a, tq.b, 0, t1),
-        (tq.c, tq.d, 0, t2),
-        (0, 0, 1, d.q),
-        (0, 0, 0, 1),
-    )
-
-
 def embed_int(theta: Mat2Z, d: DElement) -> tuple[int, int, int]:
     """Exact "e"-frame lattice coordinates (theta^q (m, n), q) of a word."""
     x1, x2 = theta_power(theta, d.q).apply((d.m, d.n))
     return (x1, x2, d.q)
-
-
-def embed(g: S2Group, d: DElement) -> GroupPoint:
-    return epoint(*embed_int(g.theta, d))
-
-
-def word_at(theta: Mat2Z, point: tuple[int, int, int]) -> DElement:
-    """The unique normal-form word embedding at a given integer lattice point."""
-    x1, x2, x3 = point
-    m, n = theta_power(theta, -x3).apply((x1, x2))
-    return DElement(x3, m, n)
 
 
 @dataclass(frozen=True)

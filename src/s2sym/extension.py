@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, NotElasticError, SingularFError
+from .errors import InternalInconsistencyError, InvalidParametersError, NotElasticError, SingularFError
 from .intmat import theta_order, theta_power
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
@@ -34,6 +34,14 @@ from .symmetry import box_points, image_word, shift_prefix
 
 _FORM_TOL = 1e-9
 _ROWS_PER_PASS = 2**14
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """Exact integers as a float array; one beyond float range is an input error."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise InvalidParametersError(f"{what} does not fit in a float") from None
 
 
 def _swap(eps: int) -> np.ndarray:
@@ -83,7 +91,9 @@ def extend(g: S2Group, phi_d: DAutomorphism) -> GroupAutoParams:
     NotElasticError when it is one that does not lift (see symmetry.lifts;
     only theta = -I has such automorphisms). Otherwise the conjugated chi
     block is of rotation-scaling form, and a failure of that form is an
-    InternalInconsistencyError.
+    InternalInconsistencyError. A shift, given or lifted, beyond float range
+    raises InvalidParametersError, as does a lattice image point beyond it
+    in verify_extension and uniqueness_probe.
     """
     check_d_automorphism(g.theta, phi_d)
     if not lifts(g.theta, phi_d.zeta, phi_d.chi):
@@ -92,7 +102,10 @@ def extend(g: S2Group, phi_d: DAutomorphism) -> GroupAutoParams:
     chi = np.array(phi_d.chi.rows(), dtype=float)
     block = _swap(eps) @ g.Mbar_invT @ chi @ g.Mbar.T
     alpha, beta = _rotation_scaling_params(block, "extend")
-    gamma, delta = r_eps(g, eps, 1) @ np.array([float(phi_d.beta1), float(phi_d.gamma1)])
+    with np.errstate(over="ignore"):
+        gamma, delta = r_eps(g, eps, 1) @ _floats((phi_d.beta1, phi_d.gamma1), "shift (beta1, gamma1)")
+    if not np.isfinite((gamma, delta)).all():
+        raise InvalidParametersError("lifted shift (gamma, delta) does not fit in a float")
     return GroupAutoParams(eps, float(alpha), float(beta), float(gamma), float(delta), g.k)
 
 
@@ -129,7 +142,7 @@ def verify_extension(
     for i in range(0, len(span), step):
         sources, images = box_points(g.theta, phi_d, prefix, span[i : i + step], span)
         x_src = np.array(sources, dtype=float)
-        x_img = np.array(images, dtype=float)
+        x_img = _floats(images, "lattice image point")
         mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
         diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
         points = np.abs(np.hstack((x_src, x_img))).max(axis=1)
@@ -161,6 +174,7 @@ def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessPro
     of the theta order. Probing only multiples of the order leaves gamma and
     delta undetermined, which is flagged rather than guessed.
     """
+    ext = extend(g, phi_d)
     theta = g.theta
     p = theta_order(theta)
     prefix = shift_prefix(theta, phi_d)
@@ -188,11 +202,10 @@ def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessPro
         xi = 1 if eps == 0 else -1
         img = image_word(phi_d, prefix, DElement(q_good, 0, 0))
         x = embed_int(theta, img)
-        u12 = g.Mbar_invT @ np.array([float(x[0]), float(x[1])])
+        u12 = g.Mbar_invT @ _floats(x[:2], f"image of A^{q_good}")
         gd = (1.0 / q_good) * _swap(eps) @ np.linalg.inv(f_factor(g, float(xi * q_good))) @ u12
         gamma, delta = float(gd[0]), float(gd[1])
 
-    ext = extend(g, phi_d)
     diffs = [abs(alpha - ext.alpha), abs(beta - ext.beta), float(abs(eps - ext.epsilon))]
     if gamma is not None:
         diffs += [abs(gamma - ext.gamma), abs(delta - ext.delta)]

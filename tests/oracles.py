@@ -1,11 +1,13 @@
 """Independent cross-checks for the test suite.
 
 Everything here recomputes a result by a different route than the library
-code it validates: plain 4x4 integer matrix products, RK4 integration of
-the frame field, exhaustive integer searches, the word-level automorphism
-action expanded through dpow and dmul (and the lattice check built on it),
-breadth-first word search, and finite differences of the group product and
-of group automorphisms.
+code it validates: the 4x4 integer matrix representation of words and plain
+products of it, RK4 integration of the frame field, exhaustive integer
+searches, the word-level automorphism action expanded through dpow and dmul
+(and the lattice check built on it), breadth-first word search, and finite
+differences of the group product and of group automorphisms. It also holds
+the words only the tests use: the commutator, the float embedding of a word
+into the group, and the word at a lattice point.
 """
 
 from itertools import product
@@ -23,7 +25,9 @@ from s2sym import (
     dmul,
     dpow,
     embed_int,
+    epoint,
     theta_order,
+    theta_power,
 )
 from s2sym.autos import apply_group_auto_batch
 from s2sym.discrete import IDENTITY_WORD
@@ -37,6 +41,37 @@ def mat4_mul(x, y):
 
 
 MAT4_IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def rmat(theta: Mat2Z, d: DElement) -> tuple[tuple[int, ...], ...]:
+    """The 4x4 integer matrix representation of a normal-form word."""
+    tq = theta_power(theta, d.q)
+    t1, t2 = tq.apply((d.m, d.n))
+    return (
+        (tq.a, tq.b, 0, t1),
+        (tq.c, tq.d, 0, t2),
+        (0, 0, 1, d.q),
+        (0, 0, 0, 1),
+    )
+
+
+def dcommutator(theta: Mat2Z, d1: DElement, d2: DElement) -> DElement:
+    """d1^{-1} d2^{-1} d1 d2 in normal form."""
+    out = dmul(theta, dinv(theta, d1), dinv(theta, d2))
+    out = dmul(theta, out, d1)
+    return dmul(theta, out, d2)
+
+
+def embed(g, d: DElement):
+    """The group point of a word, in "e" coordinates."""
+    return epoint(*embed_int(g.theta, d))
+
+
+def word_at(theta: Mat2Z, point: tuple[int, int, int]) -> DElement:
+    """The unique normal-form word embedding at a given integer lattice point."""
+    x1, x2, x3 = point
+    m, n = theta_power(theta, -x3).apply((x1, x2))
+    return DElement(x3, m, n)
 
 
 def rk4_flow(g, nu_e, steps=1000):

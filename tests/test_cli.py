@@ -281,3 +281,22 @@ def test_classify_theta_refuses_branch_beyond_k_limit(capsys):
     code, out, err = run_cli(capsys, "classify-theta", "--theta", "0,1,-1,0", "--branch", str(10**18 + 1))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "K_LIMIT" in err
+
+
+@pytest.mark.parametrize(
+    "theta, chi, shift, box, message",
+    [
+        ("0,1,-1,0", "0,1,-1,0", 10**330, 1, "shift (beta1, gamma1)"),
+        ("1,1,-1,0", "1,0,0,1", 17 * 10**307, 0, "lifted shift (gamma, delta)"),
+        ("0,1,-1,-1", "1,0,0,1", 17 * 10**307, 2, "lattice image point"),
+    ],
+)
+def test_extend_refuses_values_beyond_float_range(capsys, theta, chi, shift, box, message):
+    code, out, err = run_cli(
+        capsys,
+        "extend",
+        "--theta", theta,
+        "--zeta", "1", "--chi", chi, "--beta1", str(shift), "--gamma1", str(shift), "--box", str(box),
+    )
+    assert code == 2 and out == ""
+    assert err == f"s2sym: {message} does not fit in a float\n"

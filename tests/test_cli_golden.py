@@ -4,6 +4,8 @@ Every case runs s2sym.cli.main in-process and must reproduce, byte for
 byte, the exit code, the stdout and (for a nonzero exit) the first stderr
 line recorded in golden_cli.json. An exception escaping main is recorded
 as the interpreter would report it: exit 1 and a traceback on stderr.
+The integer commands and the input errors must also reproduce it in an
+interpreter that cannot import numpy.
 
 The transcript is recorded from the program, never written by hand:
 
@@ -13,6 +15,8 @@ The transcript is recorded from the program, never written by hand:
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -21,7 +25,8 @@ import pytest
 
 from s2sym.cli import main
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_cli.json"
 
 # The canonical matrix of each finite-order class (traces -2, -1, 0, 1).
 THETAS = ("-1,0,0,-1", "0,1,-1,-1", "0,1,-1,0", "1,1,-1,0")
@@ -91,6 +96,41 @@ def test_transcript_covers_the_cases(transcript):
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(argv) for argv in CASES])
 def test_cli_matches_transcript(transcript, index):
     assert run(CASES[index]) == transcript[index]
+
+
+def _python(script: str, *args: str, stdin: str = "") -> str:
+    """stdout of script in a fresh interpreter with src/ and this directory on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE)]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], input=stdin, capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_integer_commands_match_transcript_without_numpy(transcript):
+    entries = [
+        e for e in transcript if e["argv"][0] in ("check-generators", "lattice-points") or e["exit"] == 2
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # importing numpy now raises ImportError\n"
+        "from test_cli_golden import run\n"
+        "print(json.dumps([run(argv) for argv in json.load(sys.stdin)]))"
+    )
+    out = _python(script, stdin=json.dumps([e["argv"] for e in entries]))
+    assert json.loads(out) == entries
+
+
+def test_check_generators_loads_no_float_layer():
+    argv = ["check-generators", "--theta", "0,1,-1,0", "--g1", "1,0,0", "--g2", "0,1,0", "--g3", "0,0,1"]
+    script = (
+        "import sys\n"
+        "from test_cli_golden import run\n"
+        "assert run(sys.argv[1:])['exit'] == 0\n"
+        "print([m for m in ('numpy', 's2sym.liegroup', 's2sym.autos', 's2sym.extension') if m in sys.modules])"
+    )
+    assert _python(script, *argv) == "[]\n"
 
 
 if __name__ == "__main__":

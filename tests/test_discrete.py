@@ -8,22 +8,18 @@ from s2sym import (
     Mat2Z,
     NotGeneratingError,
     compose,
-    dcommutator,
     dinv,
     dmul,
     dpow,
-    embed,
     embed_int,
     generates_d,
     make_group,
     reduce_generators,
-    rmat,
     tau_vectors,
-    word_at,
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C, IDENTITY_WORD, ReducedTriple
 from s2sym.intmat import IDENTITY
-from oracles import MAT4_IDENTITY, mat4_mul, word_closure
+from oracles import MAT4_IDENTITY, dcommutator, embed, mat4_mul, rmat, word_at, word_closure
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)

@@ -18,7 +18,6 @@ from s2sym import (
     SingularFError,
     apply_group_auto,
     classify_symmetry,
-    embed,
     convert_basis,
     enumerate_elastic,
     extend,
@@ -36,7 +35,7 @@ from s2sym import (
 import s2sym.extension as extension_module
 from s2sym.extension import _swap
 from s2sym.intmat import IDENTITY
-from oracles import gradient_at_identity, verify_extension_by_expansion
+from oracles import embed, gradient_at_identity, verify_extension_by_expansion
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
