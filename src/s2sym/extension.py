@@ -16,6 +16,10 @@ and is exercised by the tests rather than assumed.
 verify_extension then compares the exact word-level action (the closed form
 of symmetry.shift_prefix) with the lifted map on an embedded lattice box,
 and uniqueness_probe re-derives the five parameters from lattice data alone.
+The box points are exact integers built as arrays, by one matrix product per
+pass of the (m, n) grid with the theta powers and their products with chi:
+int64 while max|offset| + 2 box max|matrix entry| stays below 2^62, Python
+ints (dtype object) beyond, each point then rounded to float once.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidParametersError, NotElasticError, SingularFError
-from .intmat import theta_order, theta_power
+from .intmat import theta_order, theta_power, theta_powers
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
 from .discrete import DElement, embed_int
 from .symmetry import NOT_LIFTING, DAutomorphism, check_d_automorphism, lifts
-from .symmetry import box_points, image_word, shift_prefix
+from .symmetry import image_word, shift_prefix
 
 _FORM_TOL = 1e-9
 _ROWS_PER_PASS = 2**14
@@ -127,26 +131,45 @@ def verify_extension(
     """Compare phi_d (exact words) with phi_tilde (lifted map) on all words
     with |q|, |m|, |n| <= box, in "f" coordinates.
 
-    The exact integer points of the words and of their images (box_points)
-    are mapped a float pass at a time, each of at most about _ROWS_PER_PASS
-    rows, so memory stays O(box^2). A word passes within
-    max(1e-9, 1e-12 * scale), scale the largest of its point entries and,
-    for q != 0, of |gamma| and |delta|: the roundoff of sin(k q) gamma need
-    not show in the points (sin(2 pi) gamma at q = +-3 for trace -1).
+    The box is mapped a pass at a time, each pass whole q slices of at most
+    about _ROWS_PER_PASS rows, so memory stays O(box^2). A pass builds the
+    exact points of its words, (theta^q (m, n), q), and of their images,
+    (theta^(zeta q) chi (m, n) + theta^(zeta q) s(q mod p), zeta q), by one
+    integer matrix product of the (m, n) grid with the matrices of its slices
+    (read from theta_powers, the offsets from shift_prefix), then rounds every
+    point to float once. The integers are int64 when max|offset| +
+    2 box max|matrix entry| is below 2^62, else Python ints (dtype object).
+    A word passes within max(1e-9, 1e-12 * scale), scale the largest of its
+    point entries and, for q != 0, of |gamma| and |delta|: the roundoff of
+    sin(k q) gamma need not show in the points (sin(2 pi) gamma at q = +-3
+    for trace -1). A negative box raises InvalidParametersError.
     """
+    if box < 0:
+        raise InvalidParametersError("box must be nonnegative")
     prefix = shift_prefix(g.theta, phi_d)
-    span = range(-box, box + 1)
-    step = max(1, _ROWS_PER_PASS // len(span) ** 2)
+    powers, zeta = theta_powers(g.theta), phi_d.zeta
+    p = len(powers)
+    # by residue r = q mod p: the matrices and offsets of a word and of its image
+    image_powers = [powers[zeta * r % p] for r in range(p)]
+    mats = np.array([(powers[r].rows(), (t @ phi_d.chi).rows()) for r, t in enumerate(image_powers)], dtype=object)
+    offsets = np.array([((0, 0), t.apply(prefix[r])) for r, t in enumerate(image_powers)], dtype=object)
+    if np.abs(offsets).max() + 2 * box * np.abs(mats).max() < 2**62:
+        mats, offsets = mats.astype(np.int64), offsets.astype(np.int64)
+    grid = np.array([(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)], dtype=np.int64)
+    step = max(1, _ROWS_PER_PASS // len(grid))
     gamma_delta = max(abs(phi_tilde.gamma), abs(phi_tilde.delta))
     max_disc, passed = 0.0, True
-    for i in range(0, len(span), step):
-        sources, images = box_points(g.theta, phi_d, prefix, span[i : i + step], span)
-        x_src = np.array(sources, dtype=float)
-        x_img = _floats(images, "lattice image point")
+    for lo in range(-box, box + 1, step):
+        qs = np.arange(lo, min(lo + step, box + 1))
+        ints = np.empty((len(qs), 2, len(grid), 3), dtype=mats.dtype)
+        ints[..., :2] = grid @ mats[qs % p].swapaxes(-1, -2) + offsets[qs % p][:, :, None]
+        ints[..., 2] = np.stack((qs, zeta * qs), axis=1)[:, :, None]
+        points = _floats(ints, "lattice image point")
+        x_src, x_img = points[:, 0].reshape(-1, 3), points[:, 1].reshape(-1, 3)
         mapped = apply_group_auto_batch(phi_tilde, x_src @ g.M_invT.T)
         diffs = np.max(np.abs(mapped - x_img @ g.M_invT.T), axis=1)
-        points = np.abs(np.hstack((x_src, x_img))).max(axis=1)
-        scale = np.maximum(points, np.where(x_src[:, 2] != 0, gamma_delta, 0.0))
+        row_max = np.abs(points).max(axis=(1, 3)).ravel()
+        scale = np.maximum(row_max, np.where(x_src[:, 2] != 0, gamma_delta, 0.0))
         max_disc = max(max_disc, float(np.max(diffs)))
         passed = passed and not np.any(diffs > np.maximum(1e-9, 1e-12 * scale))
     return ExtensionReport(phi_d, phi_tilde, max_disc, box, g.k, passed)

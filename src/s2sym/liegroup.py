@@ -130,19 +130,24 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     For theta = -I the derivative A is not pinned down by theta; we fix the
     canonical choice A = ((0, k), (-k, 0)) so that A[0,1] != 0 and M stays
     invertible. Any other choice gives an isomorphic instance.
-    Branches with |k| > K_LIMIT raise InvalidParametersError.
+    Branches with |k| > K_LIMIT, and theta entries beyond float range, raise
+    InvalidParametersError.
     """
     theta_order(theta)  # validates theta
+    try:
+        target = np.array(theta.rows(), dtype=float)
+        half_diff = 0.5 * (theta.a - theta.d)
+    except OverflowError:
+        raise InvalidParametersError("theta does not fit in a float") from None
     k = branch_k(theta.trace(), n)
     if abs(k) > K_LIMIT:
         raise InvalidParametersError(f"branch n={n} too large: |k| > K_LIMIT = {K_LIMIT:.4g}")
     if theta == MINUS_IDENTITY:
         A = np.array([[0.0, k], [-k, 0.0]])
     else:
-        a, b, c, d = theta.a, theta.b, theta.c, theta.d
         modulus, _, unit = _branch_rule(theta.trace())
         scale = k / math.sin(unit * (n % modulus))  # the sine of k reduced exactly, not of float k
-        A = scale * np.array([[0.5 * (a - d), float(b)], [float(c), -0.5 * (a - d)]])
+        A = scale * np.array([[half_diff, target[0, 1]], [target[1, 0], -half_diff]])
     bp0 = A[0, 1]
     if abs(bp0) < 1e-12:
         raise InternalInconsistencyError("A[0,1] vanished for admissible theta")
@@ -168,7 +173,6 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
         S=_freeze(S),
     )
     # phi(1) must reproduce theta up to the roundoff of k; anything else is a construction bug.
-    target = np.array(theta.rows(), dtype=float)
     err = np.max(np.abs(phi_of(g, 1.0) - target))
     if err > max(1e-10, 4.0 * _EPS * abs(k) * np.max(np.abs(target))):
         raise InternalInconsistencyError(f"phi(1) differs from theta by {err:.3e}")

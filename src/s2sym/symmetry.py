@@ -15,7 +15,11 @@ the images of B and C carry no power of A, the image of A carries A to the
 power zeta = +-1, and the 2x2 matrix chi of B/C exponents is unimodular
 with theta^zeta chi = chi theta. The automorphism is then determined by
 (zeta, chi, beta1, gamma1). It is elastic when it also extends to the
-continuous group, which lifts decides exactly.
+continuous group, which lifts decides exactly. Its action on words has a
+closed form, image_word over the table of shift_prefix; the lattice points of
+a whole box are built from the same table as integer arrays in
+extension.verify_extension, so this module, like all of the integer core,
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -191,21 +195,6 @@ def image_word(phi: DAutomorphism, prefix: tuple[Vec2Z, ...], d: DElement) -> DE
     s1, s2 = prefix[d.q % len(prefix)]
     chi = phi.chi
     return DElement(phi.zeta * d.q, s1 + chi.a * d.m + chi.b * d.n, s2 + chi.c * d.m + chi.d * d.n)
-
-
-def box_points(theta: Mat2Z, phi: DAutomorphism, prefix: tuple[Vec2Z, ...], qs, span) -> tuple[list, list]:
-    """embed_int of the words A^q B^m C^n (q in qs, m and n in span) and of
-    their image_word under phi, as two lists of exact points, q slice by q slice."""
-    powers = theta_powers(theta)
-    p, zeta = len(powers), phi.zeta
-    plane = [(m, n) for m in span for n in span]
-    sources, images = [], []
-    for q in qs:
-        t, ti = powers[q % p], powers[zeta * q % p]
-        u, (o1, o2) = ti @ phi.chi, ti.apply(prefix[q % p])
-        sources += [(t.a * m + t.b * n, t.c * m + t.d * n, q) for m, n in plane]
-        images += [(u.a * m + u.b * n + o1, u.c * m + u.d * n + o2, zeta * q) for m, n in plane]
-    return sources, images
 
 
 def apply_d_automorphism(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:

@@ -300,3 +300,12 @@ def test_extend_refuses_values_beyond_float_range(capsys, theta, chi, shift, box
     )
     assert code == 2 and out == ""
     assert err == f"s2sym: {message} does not fit in a float\n"
+
+
+@pytest.mark.parametrize("extra", [("classify-theta",), ("extend", "--zeta", "1", "--chi", "1,0,0,1")])
+def test_theta_beyond_float_range_exits_two(capsys, extra):
+    # admissible (trace 0, det 1), but an entry has 401 digits
+    theta = f"{10**200},1,{-(10**400 + 1)},{-(10**200)}"
+    code, out, err = run_cli(capsys, extra[0], "--theta", theta, *extra[1:])
+    assert code == 2 and out == ""
+    assert err == "s2sym: theta does not fit in a float\n"

@@ -12,6 +12,7 @@ from s2sym import (
     DElement,
     GeneratorTriple,
     GroupAutoParams,
+    InvalidParametersError,
     Mat2Z,
     NotAnAutomorphismError,
     NotElasticError,
@@ -327,3 +328,49 @@ def test_verify_memory_stays_flat_in_the_box():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_verify_rejects_negative_box(g4):
+    phi_d = DAutomorphism.identity()
+    with pytest.raises(InvalidParametersError, match="box must be nonnegative"):
+        verify_extension(g4, phi_d, extend(g4, phi_d), -1)
+
+
+def test_verify_matches_expansion_oracle_past_int64_by_the_matrices():
+    # conjugating by ((1, x), (0, 1)) gives theta and R(theta) entries near x^2 = 4e18:
+    # no shift, so every offset is 0, but box 3 times those entries passes 2^63
+    x = 2 * 10**9
+    conj = Mat2Z(1, x, 0, 1)
+    theta = conj @ THETA4 @ conj.inv()
+    g = make_group(theta, 1)
+    for phi_d in enumerate_elastic(theta, [0], [0]):
+        params = GroupAutoParams(int(phi_d.zeta == -1), 1.0, 0.0, 0.5, -0.5, g.k)
+        report = verify_extension(g, phi_d, params, 3)
+        assert (report.passed, report.max_discrepancy) == verify_extension_by_expansion(g, phi_d, params, 3)
+
+
+_NEAR_BIG = st.builds(
+    lambda base, sign, offset: sign * base + offset,
+    st.sampled_from((2**62, 10**300)),
+    st.sampled_from((1, -1)),
+    st.integers(-64, 64),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.sampled_from(ALL_THETAS),
+    pick=st.integers(0, 15),
+    beta1=_NEAR_BIG | st.integers(-3, 3),
+    gamma1=_NEAR_BIG,
+    box=st.integers(0, 5),
+    wrong=st.booleans(),
+)
+def test_verify_matches_expansion_oracle_with_huge_shifts(theta, pick, beta1, gamma1, box, wrong):
+    g = GROUPS[theta]
+    phis = enumerate_elastic(theta, [beta1], [gamma1])
+    phi_d = phis[pick % len(phis)]
+    lifted = extend(g, phi_d)
+    params = replace(lifted, gamma=lifted.gamma * 1.5) if wrong else lifted
+    report = verify_extension(g, phi_d, params, box)
+    assert (report.passed, report.max_discrepancy) == verify_extension_by_expansion(g, phi_d, params, box)
