@@ -7,6 +7,11 @@ Subcommands:
   extend            lift an automorphism of D and verify the agreement on a box
   lattice-points    emit the embedded lattice words, optionally with their images
 
+Each subcommand takes only the flags it reads: --branch/-n (the branch
+integer n, coprime to the order p of theta, so k = 2 pi n / p) on
+classify-theta and extend, --box (the lattice box radius) on extend and
+lattice-points; extend refuses a box above extension.BOX_LIMIT.
+
 Output is deterministic: fixed field order and %.12g float formatting, so
 identical invocations produce byte-identical reports. Exit codes: 0 success,
 2 input error, 3 domain rejection (valid input whose mathematical answer is
@@ -240,31 +245,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_TUPLE
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, help, branch=False, box=False):
+        p = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_TUPLE
         p.add_argument("--theta", required=True, help="four integers a,b,c,d (row major)")
-        p.add_argument("--branch", "-n", dest="n", type=int, default=None, help="branch integer n (default: smallest admissible positive)")
-        p.add_argument("--box", type=int, default=3, help="lattice box radius (default 3)")
+        if branch:
+            p.add_argument("--branch", "-n", dest="n", type=int, default=None, help="branch integer n (default: smallest admissible positive)")
+        if box:
+            p.add_argument("--box", type=int, default=3, help="lattice box radius (default 3)")
         p.add_argument("--format", dest="fmt", choices=(JSON_FORMAT, TEXT_FORMAT), default=JSON_FORMAT)
+        return p
 
-    p = sub.add_parser("classify-theta", help="trace class, symmetry groups, dislocation density")
-    add_common(p)
+    add_command("classify-theta", "trace class, symmetry groups, dislocation density", branch=True)
 
-    p = sub.add_parser("check-generators", help="decide generation and classify the symmetry")
-    add_common(p)
+    p = add_command("check-generators", "decide generation and classify the symmetry")
     p.add_argument("--g1", required=True, help="first word as Q,M,N")
     p.add_argument("--g2", required=True, help="second word as Q,M,N")
     p.add_argument("--g3", required=True, help="third word as Q,M,N")
 
-    p = sub.add_parser("extend", help="lift an automorphism of D to the continuous group")
-    add_common(p)
+    p = add_command("extend", "lift an automorphism of D to the continuous group", branch=True, box=True)
     p.add_argument("--zeta", type=int, required=True, choices=(1, -1))
     p.add_argument("--chi", required=True, help="four integers a,b,c,d (row major)")
     p.add_argument("--beta1", type=int, default=0)
     p.add_argument("--gamma1", type=int, default=0)
 
-    p = sub.add_parser("lattice-points", help="emit embedded lattice words as JSON lines")
-    add_common(p)
+    p = add_command("lattice-points", "emit embedded lattice words as JSON lines", box=True)
     p.add_argument(
         "--apply",
         default=None,
@@ -290,7 +295,7 @@ def main(argv=None) -> int:
         else:
             auto = None if args.apply is None else _parse_apply(args.apply)
             job = partial(cmd_lattice_points, theta, args.box, auto)
-        if args.box < 0:
+        if getattr(args, "box", 0) < 0:
             raise ValueError("--box must be nonnegative")
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)

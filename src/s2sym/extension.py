@@ -38,6 +38,10 @@ from .symmetry import image_word, shift_prefix
 
 _FORM_TOL = 1e-9
 _ROWS_PER_PASS = 2**14
+# verify_extension's time grows as box^3 and its (m, n) grid as box^2: box 200
+# takes 19 s at 82 MB peak RSS on a 2-CPU Xeon. Larger boxes are refused
+# before anything is allocated.
+BOX_LIMIT = 200
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -142,10 +146,13 @@ def verify_extension(
     A word passes within max(1e-9, 1e-12 * scale), scale the largest of its
     point entries and, for q != 0, of |gamma| and |delta|: the roundoff of
     sin(k q) gamma need not show in the points (sin(2 pi) gamma at q = +-3
-    for trace -1). A negative box raises InvalidParametersError.
+    for trace -1). A negative box, or one above BOX_LIMIT, raises
+    InvalidParametersError.
     """
     if box < 0:
         raise InvalidParametersError("box must be nonnegative")
+    if box > BOX_LIMIT:
+        raise InvalidParametersError(f"box {box} above BOX_LIMIT = {BOX_LIMIT}")
     prefix = shift_prefix(g.theta, phi_d)
     powers, zeta = theta_powers(g.theta), phi_d.zeta
     p = len(powers)
@@ -182,28 +189,25 @@ class UniquenessProbe:
     epsilon: int
     alpha: float
     beta: float
-    gamma: float | None
-    delta: float | None
-    gamma_delta_determined: bool
-    note: str | None
+    gamma: float
+    delta: float
     max_param_diff: float
 
 
-def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessProbe:
+def uniqueness_probe(g: S2Group, phi_d: DAutomorphism) -> UniquenessProbe:
     """Re-derive (eps, alpha, beta, gamma, delta) from the action on lattice words.
 
-    alpha and beta come from the images of the q = 0 generators; gamma and
-    delta from the image of A^q at the first probe q that is not a multiple
-    of the theta order. Probing only multiples of the order leaves gamma and
-    delta undetermined, which is flagged rather than guessed.
+    alpha and beta come from the images of the q = 0 generators B and C;
+    gamma and delta from the image of A, through F(B (-1)^eps), which is
+    invertible because q = 1 is never a multiple of the order of theta.
     """
     ext = extend(g, phi_d)
     theta = g.theta
-    p = theta_order(theta)
     prefix = shift_prefix(theta, phi_d)
 
     # zeta, hence eps, read off the image of A
-    eps = 0 if image_word(phi_d, prefix, DElement(1, 0, 0)).q == 1 else 1
+    a_image = image_word(phi_d, prefix, DElement(1, 0, 0))
+    eps = 0 if a_image.q == 1 else 1
 
     # alpha, beta from the images of B and C (third coordinate zero)
     obs = np.zeros((2, 2))
@@ -216,29 +220,10 @@ def uniqueness_probe(g: S2Group, phi_d: DAutomorphism, qs=(1,)) -> UniquenessPro
     block = _swap(eps) @ obs @ g.Mbar.T
     alpha, beta = _rotation_scaling_params(block, "uniqueness_probe")
 
-    gamma = delta = None
-    note = None
-    q_good = next((q for q in qs if q >= 1 and q % p != 0), None)
-    if q_good is None:
-        note = "no information about gamma and delta"
-    else:
-        xi = 1 if eps == 0 else -1
-        img = image_word(phi_d, prefix, DElement(q_good, 0, 0))
-        x = embed_int(theta, img)
-        u12 = g.Mbar_invT @ _floats(x[:2], f"image of A^{q_good}")
-        gd = (1.0 / q_good) * _swap(eps) @ np.linalg.inv(f_factor(g, float(xi * q_good))) @ u12
-        gamma, delta = float(gd[0]), float(gd[1])
+    # gamma, delta from the image of A (q = 1): u12 = F(B xi) W(eps) (gamma, delta)
+    u12 = g.Mbar_invT @ _floats(embed_int(theta, a_image)[:2], "image of A^1")
+    xi = 1.0 if eps == 0 else -1.0
+    gamma, delta = (float(v) for v in _swap(eps) @ np.linalg.inv(f_factor(g, xi)) @ u12)
 
-    diffs = [abs(alpha - ext.alpha), abs(beta - ext.beta), float(abs(eps - ext.epsilon))]
-    if gamma is not None:
-        diffs += [abs(gamma - ext.gamma), abs(delta - ext.delta)]
-    return UniquenessProbe(
-        epsilon=eps,
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma=gamma,
-        delta=delta,
-        gamma_delta_determined=q_good is not None,
-        note=note,
-        max_param_diff=max(diffs),
-    )
+    diffs = (alpha - ext.alpha, beta - ext.beta, eps - ext.epsilon, gamma - ext.gamma, delta - ext.delta)
+    return UniquenessProbe(eps, float(alpha), float(beta), gamma, delta, max(abs(float(d)) for d in diffs))

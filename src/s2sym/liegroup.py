@@ -27,18 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParametersError, InternalInconsistencyError
-from .intmat import Mat2Z, MINUS_IDENTITY, theta_order
+from .intmat import Mat2Z, MINUS_IDENTITY, ORDER_BY_TRACE, theta_order
 
-# Admissible branch integers and the k unit per trace class:
-# k = unit * n where n mod modulus lies in the residue set.
-_BRANCH_RULES = {
-    -2: (2, (1,), math.pi),
-    -1: (3, (1, 2), 2.0 * math.pi / 3.0),
-    0: (4, (1, 3), math.pi / 2.0),
-    1: (6, (1, 5), math.pi / 3.0),
-}
-
-# The float k = unit * n, hence the phase of phi(1), is off by up to |k| eps;
+# The float k = 2 pi n / p, hence the phase of phi(1), is off by up to |k| eps;
 # make_group refuses |k| > K_LIMIT = 1e-9 / eps ~ 4.5e6 (|n| > 1.4e6 to 4.3e6).
 _EPS = np.finfo(float).eps
 K_LIMIT = 1e-9 / _EPS
@@ -48,32 +39,32 @@ BASIS_F = "f"
 _BASES = (BASIS_E, BASIS_F)
 
 
-def _branch_rule(trace: int) -> tuple[int, tuple[int, ...], float]:
-    if trace not in _BRANCH_RULES:
+def _order(trace: int) -> int:
+    if trace not in ORDER_BY_TRACE:
         raise InvalidParametersError(f"trace {trace} has no admissible branches")
-    return _BRANCH_RULES[trace]
+    return ORDER_BY_TRACE[trace]
 
 
 def branch_k(trace: int, n: int) -> float:
-    """The rotation rate k for branch integer n of the given trace class."""
-    modulus, residues, unit = _branch_rule(trace)
-    if n % modulus not in residues:
-        raise InvalidParametersError(
-            f"branch n={n} not admissible for trace {trace} (n mod {modulus} must be in {residues})"
-        )
-    return unit * n
+    """The rotation rate k = 2 pi n / p for branch integer n of the given trace class.
+
+    p is the order of theta (intmat.ORDER_BY_TRACE), and n is admissible iff
+    gcd(n, p) = 1: then phi(1) = theta has order exactly p. An n beyond float
+    range gives an infinite k, which make_group refuses as it does |k| > K_LIMIT.
+    """
+    p = _order(trace)
+    if math.gcd(n, p) != 1:
+        raise InvalidParametersError(f"branch n={n} not admissible for trace {trace} (n must be coprime to {p})")
+    try:
+        return 2 * math.pi / p * n
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def first_branches(trace: int, count: int = 2) -> list[int]:
     """The smallest positive admissible branch integers for a trace class."""
-    modulus, residues, _ = _branch_rule(trace)
-    out = []
-    n = 1
-    while len(out) < count:
-        if n % modulus in residues:
-            out.append(n)
-        n += 1
-    return out
+    p = _order(trace)
+    return [n for n in range(1, count * p + 1) if math.gcd(n, p) == 1][:count]
 
 
 @dataclass(frozen=True)
@@ -130,10 +121,10 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     For theta = -I the derivative A is not pinned down by theta; we fix the
     canonical choice A = ((0, k), (-k, 0)) so that A[0,1] != 0 and M stays
     invertible. Any other choice gives an isomorphic instance.
-    Branches with |k| > K_LIMIT, and theta entries beyond float range, raise
-    InvalidParametersError.
+    Branches with |k| > K_LIMIT, theta entries beyond float range, and theta so
+    large that the float Mbar is singular raise InvalidParametersError.
     """
-    theta_order(theta)  # validates theta
+    p = theta_order(theta)  # validates theta
     try:
         target = np.array(theta.rows(), dtype=float)
         half_diff = 0.5 * (theta.a - theta.d)
@@ -145,8 +136,7 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     if theta == MINUS_IDENTITY:
         A = np.array([[0.0, k], [-k, 0.0]])
     else:
-        modulus, _, unit = _branch_rule(theta.trace())
-        scale = k / math.sin(unit * (n % modulus))  # the sine of k reduced exactly, not of float k
+        scale = k / math.sin(branch_k(theta.trace(), n % p))  # the sine of k reduced exactly, not of float k
         A = scale * np.array([[half_diff, target[0, 1]], [target[1, 0], -half_diff]])
     bp0 = A[0, 1]
     if abs(bp0) < 1e-12:
@@ -156,7 +146,10 @@ def make_group(theta: Mat2Z, n: int) -> S2Group:
     M = np.zeros((3, 3))
     M[:2, :2] = Mbar
     M[2, 2] = 1.0
-    Mbar_invT = np.linalg.inv(Mbar).T
+    try:
+        Mbar_invT = np.linalg.inv(Mbar).T
+    except np.linalg.LinAlgError:  # a'(0) + k and a'(0) - k round to the same float
+        raise InvalidParametersError("theta is too large for the float frame: Mbar is singular") from None
     M_invT = np.zeros((3, 3))
     M_invT[:2, :2] = Mbar_invT
     M_invT[2, 2] = 1.0

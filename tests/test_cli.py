@@ -302,10 +302,49 @@ def test_extend_refuses_values_beyond_float_range(capsys, theta, chi, shift, box
     assert err == f"s2sym: {message} does not fit in a float\n"
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        # admissible (trace 0, det 1), but an entry has 401 digits
+        (f"{10**200},1,{-(10**400 + 1)},{-(10**200)}", "theta does not fit in a float"),
+        # a conjugate of ((0, 1), (-1, 0)) whose float frame matrix Mbar is singular
+        (f"{-(10**40)},{10**80 + 1},-1,{10**40}", "theta is too large for the float frame: Mbar is singular"),
+    ],
+    ids=("401-digit-entry", "singular-frame"),
+)
 @pytest.mark.parametrize("extra", [("classify-theta",), ("extend", "--zeta", "1", "--chi", "1,0,0,1")])
-def test_theta_beyond_float_range_exits_two(capsys, extra):
-    # admissible (trace 0, det 1), but an entry has 401 digits
-    theta = f"{10**200},1,{-(10**400 + 1)},{-(10**200)}"
+def test_theta_beyond_float_range_exits_two(capsys, extra, theta, message):
     code, out, err = run_cli(capsys, extra[0], "--theta", theta, *extra[1:])
     assert code == 2 and out == ""
-    assert err == "s2sym: theta does not fit in a float\n"
+    assert err == f"s2sym: {message}\n"
+
+
+def test_extend_refuses_box_above_box_limit(capsys):
+    from s2sym.extension import BOX_LIMIT
+
+    code, out, err = run_cli(
+        capsys, "extend", "--theta", "0,1,-1,0", "--zeta", "1", "--chi", "1,0,0,1", "--box", str(BOX_LIMIT + 1)
+    )
+    assert code == 2 and out == ""
+    assert err == f"s2sym: box {BOX_LIMIT + 1} above BOX_LIMIT = {BOX_LIMIT}\n"
+
+
+GENERATORS = ("--g1", "1,0,0", "--g2", "0,1,0", "--g3", "0,0,1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify-theta", "--theta", "0,1,-1,0", "--box", "-5"),
+        ("check-generators", "--theta", "0,1,-1,0", *GENERATORS, "--box", "3"),
+        ("check-generators", "--theta", "0,1,-1,0", *GENERATORS, "--branch", "1"),
+        ("lattice-points", "--theta", "0,1,-1,0", "--branch", "2"),
+        ("lattice-points", "--theta", "0,1,-1,0", "-n", "1"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err

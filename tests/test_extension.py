@@ -164,33 +164,37 @@ def test_zeta_equals_third_coordinate_of_lifted_a(g4):
         assert image.coords[2] == pytest.approx(phi_d.zeta, abs=1e-12)
 
 
+def _assert_probe_matches_extend(g, phi_d):
+    probe = uniqueness_probe(g, phi_d)
+    lifted = extend(g, phi_d)
+    assert probe.epsilon == lifted.epsilon
+    for name in ("alpha", "beta", "gamma", "delta"):
+        assert getattr(probe, name) == pytest.approx(getattr(lifted, name), abs=1e-9), name
+    assert probe.max_param_diff < 1e-9
+    return probe
+
+
 def test_uniqueness_probe_identity(g4):
-    probe = uniqueness_probe(g4, DAutomorphism.identity())
+    probe = _assert_probe_matches_extend(g4, DAutomorphism.identity())
     assert probe.epsilon == 0
     assert probe.alpha == pytest.approx(1.0, abs=1e-12)
     assert probe.beta == pytest.approx(0.0, abs=1e-12)
     assert probe.gamma == pytest.approx(0.0, abs=1e-12)
     assert probe.delta == pytest.approx(0.0, abs=1e-12)
-    assert probe.gamma_delta_determined
-    assert probe.max_param_diff < 1e-9
 
 
 def test_uniqueness_probe_reversing(g4):
     lam = reversing_symmetry(THETA4)
-    probe = uniqueness_probe(g4, DAutomorphism(-1, lam, 2, -3))
+    probe = _assert_probe_matches_extend(g4, DAutomorphism(-1, lam, 2, -3))
     assert probe.epsilon == 1
-    assert probe.gamma_delta_determined
-    assert probe.max_param_diff < 1e-9
+    assert (probe.gamma, probe.delta) != (0.0, 0.0)
 
 
-def test_uniqueness_probe_degenerate_qs(g4):
-    p = theta_order(THETA4)
-    probe = uniqueness_probe(g4, DAutomorphism(1, THETA4, 1, 1), qs=(p, 2 * p))
-    assert not probe.gamma_delta_determined
-    assert probe.gamma is None and probe.delta is None
-    assert probe.note == "no information about gamma and delta"
-    # alpha and beta are still pinned by the q = 0 data
-    assert probe.max_param_diff < 1e-9
+@pytest.mark.parametrize("theta", ALL_THETAS)
+def test_uniqueness_probe_reads_gamma_delta_from_the_image_of_a(theta):
+    g = make_group(theta, first_branches(theta.trace(), 2)[1])
+    for phi_d in enumerate_elastic(theta, [0, 1, -3], [2, -1]):
+        _assert_probe_matches_extend(g, phi_d)
 
 
 def test_second_branch_also_extends():
@@ -334,6 +338,29 @@ def test_verify_rejects_negative_box(g4):
     phi_d = DAutomorphism.identity()
     with pytest.raises(InvalidParametersError, match="box must be nonnegative"):
         verify_extension(g4, phi_d, extend(g4, phi_d), -1)
+
+
+@pytest.mark.parametrize("box", [extension_module.BOX_LIMIT + 1, 5000, 10**6])
+def test_verify_refuses_boxes_above_box_limit_before_allocating(g4, box):
+    phi_d = DAutomorphism.identity()
+    lifted = extend(g4, phi_d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParametersError, match=f"box {box} above BOX_LIMIT = "):
+            verify_extension(g4, phi_d, lifted, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_verify_accepts_a_box_at_box_limit(g4, monkeypatch):
+    monkeypatch.setattr(extension_module, "BOX_LIMIT", 2)
+    phi_d = DAutomorphism(1, THETA4, 1, -2)
+    lifted = extend(g4, phi_d)
+    assert verify_extension(g4, phi_d, lifted, 2).passed
+    with pytest.raises(InvalidParametersError, match="box 3 above BOX_LIMIT = 2"):
+        verify_extension(g4, phi_d, lifted, 3)
 
 
 def test_verify_matches_expansion_oracle_past_int64_by_the_matrices():

@@ -84,6 +84,53 @@ def test_branch_k_values():
     assert branch_k(-2, -1) == pytest.approx(-math.pi)
 
 
+# The hand-written table the rule k = 2 pi n / p (n coprime to p) replaced:
+# k = unit * n where n mod modulus lies in the residue set.
+OLD_BRANCH_RULES = {
+    -2: (2, (1,), math.pi),
+    -1: (3, (1, 2), 2.0 * math.pi / 3.0),
+    0: (4, (1, 3), math.pi / 2.0),
+    1: (6, (1, 5), math.pi / 3.0),
+}
+
+
+@pytest.mark.parametrize("trace", sorted(OLD_BRANCH_RULES))
+def test_branch_rule_matches_the_old_table(trace):
+    modulus, residues, unit = OLD_BRANCH_RULES[trace]
+    for n in range(-60, 61):
+        if n % modulus in residues:
+            assert branch_k(trace, n) == unit * n, n
+        else:
+            with pytest.raises(InvalidParametersError, match="not admissible"):
+                branch_k(trace, n)
+    admissible = [n for n in range(1, 61) if n % modulus in residues]
+    for count in range(1, 6):
+        assert first_branches(trace, count) == admissible[:count]
+
+
+def test_branch_rule_rejects_traces_without_branches():
+    for trace in (-3, 2, 3):
+        with pytest.raises(InvalidParametersError, match="no admissible branches"):
+            branch_k(trace, 1)
+        with pytest.raises(InvalidParametersError, match="no admissible branches"):
+            first_branches(trace)
+
+
+def test_branch_beyond_float_range_is_refused_as_beyond_k_limit():
+    n = 10**400 + 1
+    assert branch_k(0, n) == math.inf and branch_k(0, -n) == -math.inf
+    for sign in (1, -1):
+        with pytest.raises(InvalidParametersError, match="K_LIMIT"):
+            make_group(THETA4, sign * n)
+
+
+def test_make_group_refuses_theta_too_large_for_the_float_frame():
+    # the conjugate of ((0, 1), (-1, 0)) by ((1, x), (0, 1)): a'(0) +- k round alike
+    x = 10**40
+    with pytest.raises(InvalidParametersError, match="too large for the float frame"):
+        make_group(Mat2Z(-x, x * x + 1, -1, x), 1)
+
+
 @pytest.mark.parametrize("theta", ALL_THETAS)
 def test_group_invariants(theta):
     for n in first_branches(theta.trace(), 2):
