@@ -116,21 +116,6 @@ def test_branch_rule_rejects_traces_without_branches():
             first_branches(trace)
 
 
-def test_branch_beyond_float_range_is_refused_as_beyond_k_limit():
-    n = 10**400 + 1
-    assert branch_k(0, n) == math.inf and branch_k(0, -n) == -math.inf
-    for sign in (1, -1):
-        with pytest.raises(InvalidParametersError, match="K_LIMIT"):
-            make_group(THETA4, sign * n)
-
-
-def test_make_group_refuses_theta_too_large_for_the_float_frame():
-    # the conjugate of ((0, 1), (-1, 0)) by ((1, x), (0, 1)): a'(0) +- k round alike
-    x = 10**40
-    with pytest.raises(InvalidParametersError, match="too large for the float frame"):
-        make_group(Mat2Z(-x, x * x + 1, -1, x), 1)
-
-
 @pytest.mark.parametrize("theta", ALL_THETAS)
 def test_group_invariants(theta):
     for n in first_branches(theta.trace(), 2):
@@ -350,7 +335,8 @@ def test_make_group_up_to_k_limit(theta, data):
 def test_make_group_refuses_branches_beyond_k_limit(theta):
     modulus = BRANCH_MODULUS[theta.trace()]
     beyond = largest_branch(theta) + modulus
-    for n in (beyond, -beyond, 10**18 + 1 + (-(10**18) % modulus)):
+    # 10^400 + 1 is coprime to 2, 3, 4 and 6, and beyond float range
+    for n in (beyond, -beyond, 10**18 + 1 + (-(10**18) % modulus), 10**400 + 1, -(10**400 + 1)):
         with pytest.raises(InvalidParametersError, match="K_LIMIT"):
             make_group(theta, n)
 
