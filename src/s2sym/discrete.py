@@ -9,7 +9,9 @@ product. The multiplication rule on normal forms,
     (q1, m1, n1) * (q2, m2, n2) = (q1 + q2, theta^{-q2} (m1, n1) + (m2, n2)),
 
 is forced by the 4x4 integer matrix representation of D; the test oracles
-check it against that representation. Nothing here uses floats.
+check it against that representation. So (q, v)^e = (e q, sum_{j<e} theta^{-q j} v),
+and as no admissible theta has eigenvalue 1, a full period of theta^q sums to
+zero unless theta^q = I: dpow adds e mod p terms, or takes e v. No floats here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGeneratingError
-from .intmat import Mat2Z, Vec2Z, hcf_all, theta_power
+from .intmat import Mat2Z, Vec2Z, hcf_all, theta_power, theta_powers
 
 
 @dataclass(frozen=True)
@@ -47,17 +49,19 @@ def dinv(theta: Mat2Z, d: DElement) -> DElement:
 
 
 def dpow(theta: Mat2Z, d: DElement, e: int) -> DElement:
+    """d^e = (e q, sum_{j<e} theta^{-q j} (m, n)); the sum keeps e mod p terms
+    (a full period of theta^q sums to zero), or all e when theta^q = I."""
     if e < 0:
-        d = dinv(theta, d)
-        e = -e
-    result = IDENTITY_WORD
-    base = d
-    while e:
-        if e & 1:
-            result = dmul(theta, result, base)
-        base = dmul(theta, base, base)
-        e >>= 1
-    return result
+        d, e = dinv(theta, d), -e
+    powers = theta_powers(theta)
+    p = len(powers)
+    if d.q % p == 0:
+        return DElement(e * d.q, e * d.m, e * d.n)
+    m = n = 0
+    for j in range(e % p):
+        t = powers[-d.q * j % p]
+        m, n = m + t.a * d.m + t.b * d.n, n + t.c * d.m + t.d * d.n
+    return DElement(e * d.q, m, n)
 
 
 def embed_int(theta: Mat2Z, d: DElement) -> tuple[int, int, int]:
@@ -113,10 +117,8 @@ def reduce_generators(theta: Mat2Z, triple: GeneratorTriple) -> ReducedTriple:
     generated subgroup; the Euclid schedule on A-exponents terminates since
     the sum of their absolute values strictly decreases.
     """
-    if hcf_all(triple.alphas) != 1:
-        raise NotGeneratingError(
-            f"hcf of A-exponents {triple.alphas} is {hcf_all(triple.alphas)}, not 1"
-        )
+    if (h := hcf_all(triple.alphas)) != 1:
+        raise NotGeneratingError(f"hcf of A-exponents {triple.alphas} is {h}, not 1")
     gens = list(triple.words)
     while True:
         nonzero = [i for i in range(3) if gens[i].q != 0]

@@ -76,6 +76,11 @@ def hcf_all(values) -> int:
     return math.gcd(*values)
 
 
+def int_text(x: int) -> str:
+    """x in decimal up to 64 bits, else its bit length: str() refuses ints past 4300 digits."""
+    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
+
+
 def mat2z_pow(m: Mat2Z, e: int) -> Mat2Z:
     """Exact integer power; negative exponents require |det| = 1."""
     if e < 0:
@@ -101,7 +106,7 @@ def theta_powers(theta: Mat2Z) -> tuple[Mat2Z, ...]:
     other than -I fail this and do not lie on any one-parameter subgroup).
     """
     if theta.det() != 1:
-        raise InvalidThetaError(f"theta must have determinant 1, got {theta.det()}")
+        raise InvalidThetaError(f"theta must have determinant 1, got {int_text(theta.det())}")
     tr = theta.trace()
     if tr not in ORDER_BY_TRACE:
         raise InvalidThetaError(f"trace {tr} outside the finite-order class {{-2,-1,0,1}}")

@@ -29,15 +29,7 @@ from itertools import accumulate, product
 from math import gcd
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError
-from .intmat import (
-    IDENTITY,
-    MINUS_IDENTITY,
-    Mat2Z,
-    Vec2Z,
-    theta_order,
-    theta_power,
-    theta_powers,
-)
+from .intmat import IDENTITY, MINUS_IDENTITY, Mat2Z, Vec2Z, int_text, theta_order, theta_power, theta_powers
 from .discrete import DElement, GeneratorTriple, GenerationCertificate, generates_d
 
 
@@ -150,8 +142,8 @@ def check_d_automorphism(theta: Mat2Z, phi: DAutomorphism) -> None:
     """Raise NotAnAutomorphismError unless phi is valid for this theta."""
     if phi.zeta not in (1, -1):
         raise NotAnAutomorphismError(f"zeta must be +1 or -1, got {phi.zeta}")
-    if abs(phi.chi.det()) != 1:
-        raise NotAnAutomorphismError(f"chi has det {phi.chi.det()}, not +-1")
+    if abs(det := phi.chi.det()) != 1:
+        raise NotAnAutomorphismError(f"chi has det {int_text(det)}, not +-1")
     if theta_power(theta, phi.zeta) @ phi.chi != phi.chi @ theta:
         raise NotAnAutomorphismError("theta^zeta chi != chi theta")
 

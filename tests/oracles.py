@@ -3,7 +3,8 @@
 Everything here recomputes a result by a different route than the library
 code it validates: the 4x4 integer matrix representation of words and plain
 products of it, RK4 integration of the frame field, exhaustive integer
-searches, the word-level automorphism action expanded through dpow and dmul
+searches, powers of a word by binary exponentiation through dmul (no period
+argument), the word-level automorphism action expanded through them and dmul
 (and the lattice check built on it), breadth-first word search, and finite
 differences of the group product and of group automorphisms. It also holds
 the words only the tests use: the commutator, the float embedding of a word
@@ -23,7 +24,6 @@ from s2sym import (
     compose,
     dinv,
     dmul,
-    dpow,
     embed_int,
     epoint,
     theta_order,
@@ -96,14 +96,30 @@ def rk4_flow(g, nu_e, steps=1000):
     return x
 
 
+def dpow_by_squaring(theta: Mat2Z, d: DElement, e: int) -> DElement:
+    """d^e by binary exponentiation through dmul: O(log |e|) products, no period argument."""
+    if e < 0:
+        d = dinv(theta, d)
+        e = -e
+    result = IDENTITY_WORD
+    base = d
+    while e:
+        if e & 1:
+            result = dmul(theta, result, base)
+        base = dmul(theta, base, base)
+        e >>= 1
+    return result
+
+
 def word_image_by_expansion(theta: Mat2Z, phi: DAutomorphism, d: DElement) -> DElement:
-    """Image of A^q B^m C^n under phi, expanded as phi(A)^q phi(B)^m phi(C)^n through dpow and dmul."""
+    """Image of A^q B^m C^n under phi, expanded as phi(A)^q phi(B)^m phi(C)^n
+    through dpow_by_squaring and dmul."""
     image_a = DElement(phi.zeta, phi.beta1, phi.gamma1)
     image_b = DElement(0, phi.chi.a, phi.chi.c)
     image_c = DElement(0, phi.chi.b, phi.chi.d)
-    out = dpow(theta, image_a, d.q)
-    out = dmul(theta, out, dpow(theta, image_b, d.m))
-    return dmul(theta, out, dpow(theta, image_c, d.n))
+    out = dpow_by_squaring(theta, image_a, d.q)
+    out = dmul(theta, out, dpow_by_squaring(theta, image_b, d.m))
+    return dmul(theta, out, dpow_by_squaring(theta, image_c, d.n))
 
 
 def verify_extension_by_expansion(g, phi_d: DAutomorphism, phi_tilde, box: int) -> tuple[bool, float]:

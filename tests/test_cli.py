@@ -348,3 +348,35 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+HUGE = str(10**4000)  # its square has more digits than str() of an int allows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extend", "--theta", "0,1,-1,0", "--zeta", "1", "--chi", f"{HUGE},0,0,{HUGE}"),
+        ("lattice-points", "--theta", "0,1,-1,0", "--box", "1", "--apply", f"1,{HUGE},0,0,{HUGE},0,0"),
+    ],
+    ids=("extend", "lattice-points"),
+)
+def test_huge_non_unimodular_chi_is_not_an_automorphism(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "s2sym: not an automorphism: chi has det <26576-bit integer>, not +-1\n"
+
+
+def test_huge_non_unimodular_chi_is_an_inelastic_reason(capsys):
+    code, out, err = run_cli(
+        capsys, "check-generators", "--theta", "0,1,-1,0", "--g1", "1,0,0", "--g2", f"0,{HUGE},1", "--g3", f"0,1,{HUGE}"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["class"] == "inelastic" and report["reason"] == "chi has det <26576-bit integer>, not +-1"
+
+
+def test_theta_with_huge_determinant_exits_two(capsys):
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", f"{HUGE},0,0,{HUGE}")
+    assert code == 2 and out == ""
+    assert err == "s2sym: theta must have determinant 1, got <26576-bit integer>\n"

@@ -18,8 +18,18 @@ from s2sym import (
     tau_vectors,
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C, IDENTITY_WORD, ReducedTriple
-from s2sym.intmat import IDENTITY
-from oracles import MAT4_IDENTITY, dcommutator, embed, mat4_mul, rmat, word_at, word_closure
+from s2sym.intmat import IDENTITY, theta_order
+from oracles import (
+    MAT4_IDENTITY,
+    admissible_thetas,
+    dcommutator,
+    dpow_by_squaring,
+    embed,
+    mat4_mul,
+    rmat,
+    word_at,
+    word_closure,
+)
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -55,7 +65,35 @@ def test_dpow_matches_repeated_product(theta, d, e):
     step = d if e >= 0 else dinv(theta, d)
     for _ in range(abs(e)):
         expected = dmul(theta, expected, step)
-    assert dpow(theta, d, e) == expected
+    assert dpow(theta, d, e) == expected == dpow_by_squaring(theta, d, e)
+
+
+# every admissible theta with entries in [-3, 3], -I among them
+ADMISSIBLE3 = admissible_thetas(3)
+
+
+@given(
+    st.sampled_from(ADMISSIBLE3),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**62), 2**62),
+    st.integers(-(2**62), 2**62),
+    st.integers(-(2**200), 2**200),
+)
+@settings(max_examples=300)
+def test_dpow_matches_squaring_oracle(theta, q, m, n, e):
+    d = DElement(q, m, n)
+    assert dpow(theta, d, e) == dpow_by_squaring(theta, d, e)
+
+
+@pytest.mark.parametrize("theta", ADMISSIBLE3, ids=lambda t: ",".join(map(str, (t.a, t.b, t.c, t.d))))
+def test_dpow_matches_squaring_oracle_at_period_multiples(theta):
+    # q = 0 mod p takes e v; e = 0 mod p sums whole periods to zero; e = +-1 is d or its inverse
+    p = theta_order(theta)
+    for q in (0, p, -3 * p, p * 2**60, 1, -1, 2**64 - 1):
+        d = DElement(q, 2**62 - 1, -(2**62) + 3)
+        for e in (0, p, -p, p * 2**190, -p * 2**190 - 1, 1, -1, 2**200):
+            assert dpow(theta, d, e) == dpow_by_squaring(theta, d, e)
+        assert dpow(theta, d, 1) == d and dpow(theta, d, -1) == dinv(theta, d)
 
 
 def test_commutator_relations():

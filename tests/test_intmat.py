@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from s2sym import InvalidThetaError, Mat2Z, hcf_all, mat2z_pow, theta_order, theta_power
-from s2sym.intmat import IDENTITY, MINUS_IDENTITY
+from s2sym.intmat import IDENTITY, MINUS_IDENTITY, int_text
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -86,3 +86,10 @@ def test_theta_order_rejects_det_minus_one():
 @pytest.mark.parametrize("e", [-7, -1, 0, 1, 5, 23])
 def test_theta_power_matches_plain_pow(theta, e):
     assert theta_power(theta, e) == mat2z_pow(theta, e)
+
+
+def test_int_text_gives_only_the_bit_length_past_64_bits():
+    assert int_text(2) == "2" and int_text(-(2**64) + 1) == str(-(2**64) + 1)
+    assert int_text(2**64) == "<65-bit integer>"
+    # str() of this would raise ValueError: it has more than 4300 digits
+    assert int_text(-(10**8000)) == "<26576-bit integer>"
