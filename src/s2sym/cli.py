@@ -13,11 +13,21 @@ classify-theta and extend, --box (the lattice box radius) on extend and
 lattice-points; extend refuses a box above extension.BOX_LIMIT.
 
 Output is deterministic: fixed field order and %.12g float formatting, so
-identical invocations produce byte-identical reports. Exit codes: 0 success,
-2 input error, 3 domain rejection (valid input whose mathematical answer is
-negative where the command demands a positive one, such as extending an
-automorphism that is not elastic), 4 internal error (a guaranteed invariant
-failed, which is a bug; reported on one line instead of a traceback).
+identical invocations produce byte-identical reports. Integers print in
+full, also past Python's 4300-digit str() limit, which still bounds every
+parsed input. Exit codes: 0 success, 2 input error, 3 domain rejection
+(valid input whose mathematical answer is negative where the command demands
+a positive one, such as extending an automorphism that is not elastic),
+4 internal error (a guaranteed invariant failed, which is a bug; reported on
+one line instead of a traceback), 141 (BROKEN_PIPE_EXIT) when the reader
+closes stdout before the output is complete, with nothing on stderr.
+
+lattice-points has no box limit: it writes (2 box + 1)^3 lines in closed
+form, A^q B^m C^n at theta^q (m, n), q and, with --apply, the image word
+(zeta q, s(q) + chi (m, n)) at theta^(zeta q) of its (m, n). The theta powers
+and s(q) = s(q mod p) are tables of one period (intmat.theta_powers,
+symmetry.shift_prefix) read once per q slice, and each (q, m) row is written
+at once, so memory stays O(box).
 
 Only classify-theta and extend need the float layers (liegroup, extension,
 numpy). They import them inside the command, after theta has been validated,
@@ -27,24 +37,27 @@ so check-generators, lattice-points and every rejected theta run without numpy.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import partial
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError, NotElasticError
-from .intmat import Mat2Z, theta_order
-from .discrete import DElement, GeneratorTriple, embed_int
+from .intmat import Mat2Z, theta_order, theta_powers
+from .discrete import DElement, GeneratorTriple
 from .symmetry import (
     DAutomorphism,
     centralizer,
     classify_symmetry,
-    image_word,
     reversing_group,
     shift_prefix,
 )
 
 JSON_FORMAT = "json"
 TEXT_FORMAT = "text"
+
+# 128 + SIGPIPE: the status a shell shows for a writer that a closed pipe ends
+BROKEN_PIPE_EXIT = 141
 
 
 def _fmt_float(x: float) -> str:
@@ -210,26 +223,60 @@ def cmd_extend(theta: Mat2Z, n: int | None, phi_d: DAutomorphism, box: int, fmt:
     return 0
 
 
+# Field order of a lattice-points record: the word, its lattice point and,
+# with --apply, the image word and its lattice point.
+_POINT_FIELDS = ("q", "m", "n", "x1", "x2", "x3")
+_IMAGE_FIELDS = ("image_word", "y1", "y2", "y3")
+
+
+def _record_template(fmt: str, fields: tuple[str, ...]) -> str:
+    """A %-template of one record line, byte-identical to dump_json of the record
+    (or its text form); image_word is a list of three integers."""
+    slots = ("[%d, %d, %d]" if field == "image_word" else "%d" for field in fields)
+    if fmt == JSON_FORMAT:
+        return "{" + ", ".join(f'"{f}": {s}' for f, s in zip(fields, slots)) + "}\n"
+    return "\t".join(f"{f}={s}" for f, s in zip(fields, slots)) + "\n"
+
+
 def cmd_lattice_points(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: str) -> int:
-    theta_order(theta)
+    """Stream the words (q, m, n) of the box with their lattice points, in closed form.
+
+    Per q slice it reads t = theta^q and, with an automorphism, u = theta^(zeta q),
+    s = s(q mod p) from shift_prefix, and the products u chi and u s. Per word the
+    point is t (m, n), q; the image word is (zeta q, s + chi (m, n)) and its point
+    (u chi) (m, n) + u s, zeta q, all in integer arithmetic. Each record is one
+    %-template filled in; each (q, m) row of 2 box + 1 records is one write, so
+    memory stays O(box). theta and the automorphism are checked before any output.
+    """
+    powers = theta_powers(theta)
+    p = len(powers)
     prefix = None if auto is None else shift_prefix(theta, auto)
+    template = _record_template(fmt, _POINT_FIELDS if auto is None else _POINT_FIELDS + _IMAGE_FIELDS)
+    write = sys.stdout.write
     span = range(-box, box + 1)
     for q in span:
+        t = powers[q % p]
+        if auto is not None:
+            zq, chi = auto.zeta * q, auto.chi
+            s1, s2 = prefix[q % p]
+            # the image point u (s + chi (m, n)) = w (m, n) + o
+            u = powers[zq % p]
+            w = u @ chi
+            o1, o2 = u.apply((s1, s2))
         for m in span:
-            for n in span:
-                word = DElement(q, m, n)
-                x1, x2, x3 = embed_int(theta, word)
-                record = {"q": q, "m": m, "n": n, "x1": x1, "x2": x2, "x3": x3}
-                if auto is not None:
-                    img = image_word(auto, prefix, word)
-                    y1, y2, y3 = embed_int(theta, img)
-                    record.update(
-                        {"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3}
-                    )
-                if fmt == JSON_FORMAT:
-                    print(dump_json(record))
-                else:
-                    print("\t".join(f"{k}={dump_json(v)}" for k, v in record.items()))
+            # along a row every coordinate is affine in n; x, i and y are their values at n = 0
+            x1, x2 = t.a * m, t.c * m
+            if auto is None:
+                lines = [template % (q, m, n, x1 + t.b * n, x2 + t.d * n, q) for n in span]
+            else:
+                i1, i2 = s1 + chi.a * m, s2 + chi.c * m
+                y1, y2 = o1 + w.a * m, o2 + w.c * m
+                lines = [
+                    template
+                    % (q, m, n, x1 + t.b * n, x2 + t.d * n, q, zq, i1 + chi.b * n, i2 + chi.d * n, y1 + w.b * n, y2 + w.d * n, zq)
+                    for n in span
+                ]
+            write("".join(lines))
     return 0
 
 
@@ -300,8 +347,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"s2sym: {exc}", file=sys.stderr)
         return 2
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    if limit:
+        # the limit has bounded every parsed input; an output, a short sum of
+        # products of inputs, may pass it and is printed in full
+        sys.set_int_max_str_digits(0)
     try:
-        return job(args.fmt)
+        code = job(args.fmt)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except NotAnAutomorphismError as exc:
         print(f"s2sym: not an automorphism: {exc}", file=sys.stderr)
         return 3
@@ -314,6 +372,9 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"s2sym: internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

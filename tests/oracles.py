@@ -6,9 +6,10 @@ products of it, RK4 integration of the frame field, exhaustive integer
 searches, powers of a word by binary exponentiation through dmul (no period
 argument), the word-level automorphism action expanded through them and dmul
 (and the lattice check built on it), breadth-first word search, and finite
-differences of the group product and of group automorphisms. It also holds
-the words only the tests use: the commutator, the float embedding of a word
-into the group, and the word at a lattice point.
+differences of the group product and of group automorphisms, and the
+lattice-points output built record by record. It also holds the words only
+the tests use: the commutator, the float embedding of a word into the group,
+and the word at a lattice point.
 """
 
 from itertools import product
@@ -30,8 +31,9 @@ from s2sym import (
     theta_power,
 )
 from s2sym.autos import apply_group_auto_batch
+from s2sym.cli import JSON_FORMAT, dump_json
 from s2sym.discrete import IDENTITY_WORD
-from s2sym.symmetry import DAutomorphism
+from s2sym.symmetry import DAutomorphism, image_word, shift_prefix
 
 
 def mat4_mul(x, y):
@@ -145,6 +147,26 @@ def verify_extension_by_expansion(g, phi_d: DAutomorphism, phi_tilde, box: int) 
         max_disc = max(max_disc, float(np.max(diffs)))
         passed = passed and not np.any(diffs > tols)
     return passed, max_disc
+
+
+def lattice_records_by_word(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: str) -> str:
+    """The stdout of lattice-points, one word at a time: embed_int and image_word
+    per word, a record dict per word, and dump_json per value."""
+    prefix = None if auto is None else shift_prefix(theta, auto)
+    lines = []
+    for q, m, n in product(range(-box, box + 1), repeat=3):
+        word = DElement(q, m, n)
+        x1, x2, x3 = embed_int(theta, word)
+        record = {"q": q, "m": m, "n": n, "x1": x1, "x2": x2, "x3": x3}
+        if auto is not None:
+            img = image_word(auto, prefix, word)
+            y1, y2, y3 = embed_int(theta, img)
+            record.update({"image_word": [img.q, img.m, img.n], "y1": y1, "y2": y2, "y3": y3})
+        if fmt == JSON_FORMAT:
+            lines.append(dump_json(record))
+        else:
+            lines.append("\t".join(f"{k}={dump_json(v)}" for k, v in record.items()))
+    return "".join(line + "\n" for line in lines)
 
 
 def brute_force_commutants(theta: Mat2Z, bound: int = 5) -> set[Mat2Z]:

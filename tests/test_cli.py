@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from s2sym import InternalInconsistencyError, cli
 from s2sym.cli import main
-from s2sym.intmat import MINUS_IDENTITY
-from oracles import admissible_thetas
+from s2sym.intmat import MINUS_IDENTITY, Mat2Z
+from s2sym.symmetry import DAutomorphism, enumerate_elastic
+from oracles import admissible_thetas, lattice_records_by_word
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +236,71 @@ def test_lattice_points_apply_nontrivial(capsys):
         if (lambda r: (r["y1"], r["y2"], r["y3"]) != (r["x1"], r["x2"], r["x3"]))(json.loads(line))
     )
     assert moved > 0
+
+
+def _csv(*values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _lattice_stdout(theta: Mat2Z, box: int, auto: DAutomorphism | None, fmt: str) -> str:
+    argv = ["lattice-points", "--theta", _csv(theta.a, theta.b, theta.c, theta.d), "--box", str(box)]
+    if auto is not None:
+        chi = auto.chi
+        argv += ["--apply", _csv(auto.zeta, chi.a, chi.b, chi.c, chi.d, auto.beta1, auto.gamma1)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", fmt]) == 0
+    return out.getvalue()
+
+
+ADMISSIBLE3 = admissible_thetas(3)
+# (zeta, chi) of the elastic automorphisms of each theta, and for -I also
+# unimodular chi with entries in [-2, 2] that do not lift
+AUTO_PAIRS = {
+    theta: [(a.zeta, a.chi) for a in enumerate_elastic(theta, [0], [0])] for theta in ADMISSIBLE3
+}
+AUTO_PAIRS[MINUS_IDENTITY] += [
+    (zeta, chi)
+    for zeta in (1, -1)
+    for chi in (Mat2Z(*e) for e in product(range(-2, 3), repeat=4))
+    if abs(chi.det()) == 1 and (zeta, chi) not in AUTO_PAIRS[MINUS_IDENTITY]
+]
+shifts = st.integers(-3, 3) | st.integers(-(2**200), 2**200)
+
+
+@st.composite
+def lattice_calls(draw):
+    theta = draw(st.sampled_from(ADMISSIBLE3))
+    auto = None
+    if draw(st.booleans()):
+        zeta, chi = draw(st.sampled_from(AUTO_PAIRS[theta]))
+        auto = DAutomorphism(zeta, chi, draw(shifts), draw(shifts))
+    return theta, draw(st.integers(0, 3)), auto, draw(st.sampled_from((cli.JSON_FORMAT, cli.TEXT_FORMAT)))
+
+
+@settings(max_examples=300)
+@given(call=lattice_calls())
+def test_lattice_points_matches_the_per_word_emitter(call):
+    assert _lattice_stdout(*call) == lattice_records_by_word(*call)
+
+
+@pytest.mark.parametrize("fmt", [cli.JSON_FORMAT, cli.TEXT_FORMAT])
+@pytest.mark.parametrize("theta", [t for t in ADMISSIBLE3 if abs(t.a) + abs(t.b) + abs(t.c) + abs(t.d) <= 3])
+def test_lattice_points_zeta_minus_one(theta, fmt):
+    autos = [a for a in enumerate_elastic(theta, [2], [-1]) if a.zeta == -1]
+    assert autos
+    for auto in autos:
+        assert _lattice_stdout(theta, 2, auto, fmt) == lattice_records_by_word(theta, 2, auto, fmt)
+
+
+def test_lattice_points_zeta_minus_one_record(capsys):
+    # A maps to A^-1 B^2 C^-1, so its image point is theta^-1 (2, -1) = (1, 2) at height -1
+    code, out, _ = run_cli(capsys, "lattice-points", "--theta", "0,1,-1,0", "--box", "1", "--apply", "-1,0,1,1,0,2,-1")
+    assert code == 0
+    record = [json.loads(line) for line in out.splitlines()][22]
+    assert record == {
+        "q": 1, "m": 0, "n": 0, "x1": 0, "x2": 0, "x3": 1, "image_word": [-1, 2, -1], "y1": 1, "y2": 2, "y3": -1
+    }
 
 
 def test_text_format(capsys):

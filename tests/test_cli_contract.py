@@ -1,6 +1,7 @@
 """The CLI's input contract, fuzzed in-process over all four subcommands.
 
-Whatever the arguments, s2sym exits 0, 2, 3 or 4, never with a traceback.
+Whatever the arguments, s2sym exits 0, 2, 3 or 4, never with a traceback;
+a reader that closes the pipe early ends it quietly with BROKEN_PIPE_EXIT.
 Every exit other than 0 leaves stdout empty and, apart from an argparse
 usage error, writes exactly one "s2sym: " line to stderr; a success writes
 nothing to stderr. The draws reach the extremes: matrix entries and shifts
@@ -8,15 +9,24 @@ up to 10^400, |q| up to 2^200, branches beyond float range and near
 K_LIMIT, negative and zero boxes (capped small, so a case runs in
 milliseconds), malformed tuples, and the flags a subcommand does not read.
 pytest turns a RuntimeWarning into an error (pyproject.toml), so a numpy
-warning printed before the "s2sym: " line fails here too.
+warning printed before the "s2sym: " line fails here too. Integers past
+Python's 4300-digit str() limit are refused as input and printed in full
+as output.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from s2sym.cli import main
+from s2sym.cli import BROKEN_PIPE_EXIT, main
+from s2sym.intmat import MINUS_IDENTITY, Mat2Z
+from s2sym.symmetry import DAutomorphism
+from oracles import lattice_records_by_word
 
 HUGE = 10**400
 # theta of finite order 2, 3, 4, 6 (traces -2, -1, 0, 1)
@@ -116,3 +126,43 @@ def test_every_input_meets_the_exit_contract(argv):
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("s2sym: "), err
+
+
+def test_closed_pipe_exits_quietly_with_the_documented_code():
+    argv = [sys.executable, "-m", "s2sym.cli", "lattice-points", "--theta", "0,1,-1,0", "--box", "30"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b'{"q": -30, "m": -30, "n": -30, ')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == BROKEN_PIPE_EXIT
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+X = 9 * 10**4299  # 4300 digits, the most that parses; the image point 2X has 4301
+
+
+def test_image_points_past_the_digit_limit_print_in_full():
+    argv = ["lattice-points", "--theta", "-1,0,0,-1", "--box", "2", "--apply", f"1,{X},1,{X - 1},1,0,0"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300  # lifted only while the command ran
+    auto = DAutomorphism(1, Mat2Z(X, 1, X - 1, 1), 0, 0)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.getvalue() == lattice_records_by_word(MINUS_IDENTITY, 2, auto, "json")
+        assert f'"image_word": [0, {2 * X}, {2 * X - 2}]' in out.getvalue()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_inputs_past_the_digit_limit_are_input_errors():
+    argv = ["lattice-points", "--theta", "-1,0,0,-1", "--box", "2", "--apply", "1," + "9" * 4301 + f",1,{X - 1},1,0,0"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("s2sym: --apply: Exceeds the limit (4300 digits)")
