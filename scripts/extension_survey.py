@@ -7,6 +7,9 @@ lift), lifts each one to the continuous group on the first two branch
 rates, and reports the worst lattice disagreement of the lifted maps.
 
 Run as:  python scripts/extension_survey.py [--box 3] [--shift 3]
+
+--box must lie in [0, BOX_LIMIT] and --shift must be nonnegative; the survey
+fails if a lift fails its lattice check or a class lifts no automorphism.
 """
 
 import argparse
@@ -24,6 +27,7 @@ from s2sym import (
     uniqueness_probe,
     verify_extension,
 )
+from s2sym.extension import BOX_LIMIT
 
 CASES = [
     ("trace -2", Mat2Z(-1, 0, 0, -1)),
@@ -33,10 +37,23 @@ CASES = [
 ]
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer in [low, high], or at least low when high is None."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bounds}")
+        return value
+
+    return integer
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--box", type=int, default=3, help="verification box radius")
-    parser.add_argument("--shift", type=int, default=3, help="beta1/gamma1 sweep bound")
+    parser.add_argument("--box", type=_int_in(0, BOX_LIMIT), default=3, help="verification box radius")
+    parser.add_argument("--shift", type=_int_in(0), default=3, help="beta1/gamma1 sweep bound")
     args = parser.parse_args()
 
     shifts = range(-args.shift, args.shift + 1)
@@ -45,9 +62,11 @@ def main() -> None:
         rev = reversing_group(theta)
         print(f"\n{name}: theta = {theta.rows()}, order {theta_order(theta)}")
         print(f"  S(theta) = {sym.label} (order {sym.order}), R(theta) = {rev.label} (order {rev.order})")
+        autos = enumerate_elastic(theta, shifts, shifts)
+        if not autos:
+            raise SystemExit(f"no automorphism to lift for {name}")
         for n in first_branches(theta.trace(), 2):
             g = make_group(theta, n)
-            autos = enumerate_elastic(theta, shifts, shifts)
             start = time.perf_counter()
             worst = 0.0
             worst_probe = 0.0

@@ -3,9 +3,13 @@
 The integer layers (intmat, discrete, symmetry) load with the package. The
 float layers (liegroup, autos, extension), and with them numpy, load on the
 first access to one of their names, so the integer commands run without numpy.
+The package ships only what the commands, the survey script and the benchmark
+run: the decisions, the lift and its lattice check. The rest of the paper's
+continuous model (group law, exponential map, brackets, algebra
+automorphisms) checks the lift from the tests (tests/continuous.py).
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 from .errors import (
     InternalInconsistencyError,
@@ -14,9 +18,8 @@ from .errors import (
     NotAnAutomorphismError,
     NotElasticError,
     NotGeneratingError,
-    SingularFError,
 )
-from .intmat import Mat2Z, Vec2Z, hcf_all, mat2z_pow, theta_order, theta_power, theta_powers
+from .intmat import Mat2Z, Vec2Z, hcf_all, theta_order, theta_power, theta_powers
 from .discrete import (
     DElement,
     GeneratorTriple,
@@ -35,7 +38,6 @@ from .symmetry import (
     SymmetryClassification,
     SymmetryGroup,
     apply_d_automorphism,
-    as_d_automorphism,
     centralizer,
     check_d_automorphism,
     classify_symmetry,
@@ -53,16 +55,8 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "liegroup": (
-            "BASIS_E", "BASIS_F", "GroupPoint", "S2Group", "branch_k", "bracket", "compose",
-            "convert_basis", "epoint", "exp_map", "f_factor", "f_structure_constants",
-            "first_branches", "fpoint", "inverse", "lattice_fields", "make_group", "phi_of",
-            "two_exp_decompose",
-        ),
-        "autos": (
-            "GroupAutoParams", "LieAlgebraAuto", "apply_group_auto", "group_auto_from_algebra",
-            "is_algebra_auto", "pts_factor",
-        ),
+        "liegroup": ("S2Group", "branch_k", "f_factor", "first_branches", "make_group", "phi_of"),
+        "autos": ("GroupAutoParams",),
         "extension": (
             "ExtensionReport", "UniquenessProbe", "extend", "r_eps", "uniqueness_probe",
             "verify_extension",
@@ -76,7 +70,7 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    value = getattr(_import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 

@@ -99,15 +99,6 @@ class ReducedTriple:
     gamma1: int
     exponents: Mat2Z
 
-    @property
-    def words(self) -> tuple[DElement, DElement, DElement]:
-        ex = self.exponents
-        return (
-            DElement(1, self.beta1, self.gamma1),
-            DElement(0, ex.a, ex.c),
-            DElement(0, ex.b, ex.d),
-        )
-
 
 def reduce_generators(theta: Mat2Z, triple: GeneratorTriple) -> ReducedTriple:
     """Nielsen-reduce a triple so the first generator carries A exactly once.

@@ -21,9 +21,5 @@ class NotElasticError(ValueError):
     """An automorphism of D that does not extend to the continuous group."""
 
 
-class SingularFError(ValueError):
-    """F(B u3) is singular here (k*u3 is a multiple of 2*pi), so it cannot be inverted."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug, not bad input."""

@@ -9,9 +9,10 @@ unique automorphism of the continuous group extending it has
 
 where W(eps) is the 2x2 swap to the power eps and R(eps) is assembled from
 the inverse of F(B q) and the geometric sum of theta powers at any q not
-divisible by the order of theta. R(eps) is computed here from that
-q-dependent expression at q = 1; its independence of q is a checkable fact
-and is exercised by the tests rather than assumed.
+divisible by the order of theta. R(eps) is computed here at q = 1, where the
+sum is the single term theta^(+-1); the tests check the expression at the
+other q against it (tests/continuous.py), so its independence of q is
+exercised rather than assumed.
 
 verify_extension then compares the exact word-level action (the closed form
 of symmetry.shift_prefix) with the lifted map on an embedded lattice box,
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, InvalidParametersError, NotElasticError, SingularFError
-from .intmat import theta_order, theta_power, theta_powers
+from .errors import InternalInconsistencyError, InvalidParametersError, NotElasticError
+from .intmat import theta_power, theta_powers
 from .liegroup import S2Group, f_factor
 from .autos import GroupAutoParams, apply_group_auto_batch
 from .discrete import DElement, embed_int
@@ -56,25 +57,17 @@ def _swap(eps: int) -> np.ndarray:
     return np.array([[0.0, 1.0], [1.0, 0.0]]) if eps else np.eye(2)
 
 
-def r_eps(g: S2Group, eps: int, q: int) -> np.ndarray:
-    """The 2x2 matrix taking (beta1, gamma1) to (gamma, delta), built at a given q >= 1.
+def r_eps(g: S2Group, eps: int) -> np.ndarray:
+    """The 2x2 matrix taking (beta1, gamma1) to (gamma, delta):
+    W(eps) F(B xi)^{-1} Mbar^{-T} theta^xi, xi = (-1)^eps.
 
-    The construction needs F(B ((-1)^eps q)) invertible, which fails exactly
-    when q is a multiple of the order of theta.
+    F(B xi) is invertible because 1 is never a multiple of the order of theta.
     """
     if eps not in (0, 1):
         raise ValueError(f"eps must be 0 or 1, got {eps}")
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
-    p = theta_order(g.theta)
-    if q % p == 0:
-        raise SingularFError(f"q={q} is a multiple of the theta order {p}; F is singular")
     xi = 1 if eps == 0 else -1
-    total = np.zeros((2, 2))
-    for j in range(1, q + 1):
-        total += np.array(theta_power(g.theta, j * xi).rows(), dtype=float)
-    f_inv = np.linalg.inv(f_factor(g, float(xi * q)))
-    return (1.0 / q) * _swap(eps) @ f_inv @ g.Mbar_invT @ total
+    f_inv = np.linalg.inv(f_factor(g, float(xi)))
+    return _swap(eps) @ f_inv @ g.Mbar_invT @ np.array(theta_power(g.theta, xi).rows(), dtype=float)
 
 
 def _rotation_scaling_params(block: np.ndarray, context: str) -> tuple[float, float]:
@@ -111,7 +104,7 @@ def extend(g: S2Group, phi_d: DAutomorphism) -> GroupAutoParams:
     block = _swap(eps) @ g.Mbar_invT @ chi @ g.Mbar.T
     alpha, beta = _rotation_scaling_params(block, "extend")
     with np.errstate(over="ignore"):
-        gamma, delta = r_eps(g, eps, 1) @ _floats((phi_d.beta1, phi_d.gamma1), "shift (beta1, gamma1)")
+        gamma, delta = r_eps(g, eps) @ _floats((phi_d.beta1, phi_d.gamma1), "shift (beta1, gamma1)")
     if not np.isfinite((gamma, delta)).all():
         raise InvalidParametersError("lifted shift (gamma, delta) does not fit in a float")
     return GroupAutoParams(eps, float(alpha), float(beta), float(gamma), float(delta), g.k)

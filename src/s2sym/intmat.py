@@ -81,21 +81,6 @@ def int_text(x: int) -> str:
     return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
 
 
-def mat2z_pow(m: Mat2Z, e: int) -> Mat2Z:
-    """Exact integer power; negative exponents require |det| = 1."""
-    if e < 0:
-        m = m.inv()
-        e = -e
-    result = IDENTITY
-    base = m
-    while e:
-        if e & 1:
-            result = result @ base
-        base = base @ base
-        e >>= 1
-    return result
-
-
 @lru_cache(maxsize=None)
 def theta_powers(theta: Mat2Z) -> tuple[Mat2Z, ...]:
     """theta^0, ..., theta^(p-1) for an admissible theta of multiplicative order p.

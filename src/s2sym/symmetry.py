@@ -29,7 +29,7 @@ from itertools import accumulate, product
 from math import gcd
 
 from .errors import InternalInconsistencyError, NotAnAutomorphismError
-from .intmat import IDENTITY, MINUS_IDENTITY, Mat2Z, Vec2Z, int_text, theta_order, theta_power, theta_powers
+from .intmat import MINUS_IDENTITY, Mat2Z, Vec2Z, int_text, theta_order, theta_power, theta_powers
 from .discrete import DElement, GeneratorTriple, GenerationCertificate, generates_d
 
 
@@ -41,17 +41,8 @@ class SymmetryGroup:
     elements: tuple[Mat2Z, ...] | None
 
     @property
-    def is_all_gl2z(self) -> bool:
-        return self.elements is None
-
-    @property
     def order(self) -> int | None:
         return None if self.elements is None else len(self.elements)
-
-    def contains(self, chi: Mat2Z) -> bool:
-        if self.elements is None:
-            return abs(chi.det()) == 1
-        return chi in self.elements
 
 
 def _signed_powers(theta: Mat2Z) -> tuple[Mat2Z, ...]:
@@ -133,10 +124,6 @@ class DAutomorphism:
     beta1: int
     gamma1: int
 
-    @classmethod
-    def identity(cls) -> "DAutomorphism":
-        return cls(1, IDENTITY, 0, 0)
-
 
 def check_d_automorphism(theta: Mat2Z, phi: DAutomorphism) -> None:
     """Raise NotAnAutomorphismError unless phi is valid for this theta."""
@@ -146,11 +133,6 @@ def check_d_automorphism(theta: Mat2Z, phi: DAutomorphism) -> None:
         raise NotAnAutomorphismError(f"chi has det {int_text(det)}, not +-1")
     if theta_power(theta, phi.zeta) @ phi.chi != phi.chi @ theta:
         raise NotAnAutomorphismError("theta^zeta chi != chi theta")
-
-
-def as_d_automorphism(theta: Mat2Z, triple: GeneratorTriple) -> DAutomorphism | None:
-    auto, _ = _d_automorphism_or_reason(theta, triple)
-    return auto
 
 
 def _d_automorphism_or_reason(

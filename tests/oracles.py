@@ -3,37 +3,27 @@
 Everything here recomputes a result by a different route than the library
 code it validates: the 4x4 integer matrix representation of words and plain
 products of it, RK4 integration of the frame field, exhaustive integer
-searches, powers of a word by binary exponentiation through dmul (no period
-argument), the word-level automorphism action expanded through them and dmul
-(and the lattice check built on it), breadth-first word search, and finite
-differences of the group product and of group automorphisms, and the
-lattice-points output built record by record. It also holds the words only
-the tests use: the commutator, the float embedding of a word into the group,
-and the word at a lattice point.
+searches, powers of a matrix and of a word by binary exponentiation (the
+word through dmul, with no period argument), the word-level automorphism
+action expanded through them and dmul (and the lattice check built on it),
+breadth-first word search, finite differences of the group product and of
+group automorphisms, and the lattice-points output built record by record.
+It also holds the words only the tests use: the commutator, the float
+embedding of a word into the group, and the word at a lattice point. The
+continuous model the finite differences run on is in continuous.py.
 """
 
 from itertools import product
 
 import numpy as np
 
-from s2sym import (
-    BASIS_F,
-    DElement,
-    GroupPoint,
-    InvalidThetaError,
-    Mat2Z,
-    compose,
-    dinv,
-    dmul,
-    embed_int,
-    epoint,
-    theta_order,
-    theta_power,
-)
+from s2sym import DElement, InvalidThetaError, Mat2Z, dinv, dmul, embed_int, theta_order, theta_power
 from s2sym.autos import apply_group_auto_batch
 from s2sym.cli import JSON_FORMAT, dump_json
 from s2sym.discrete import IDENTITY_WORD
+from s2sym.intmat import IDENTITY
 from s2sym.symmetry import DAutomorphism, image_word, shift_prefix
+from continuous import BASIS_F, GroupPoint, compose, epoint
 
 
 def mat4_mul(x, y):
@@ -96,6 +86,21 @@ def rk4_flow(g, nu_e, steps=1000):
         k4 = vel(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
+
+
+def mat2z_pow(m: Mat2Z, e: int) -> Mat2Z:
+    """Exact integer power by binary exponentiation; negative exponents require |det| = 1."""
+    if e < 0:
+        m = m.inv()
+        e = -e
+    result = IDENTITY
+    base = m
+    while e:
+        if e & 1:
+            result = result @ base
+        base = base @ base
+        e >>= 1
+    return result
 
 
 def dpow_by_squaring(theta: Mat2Z, d: DElement, e: int) -> DElement:

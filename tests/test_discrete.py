@@ -7,7 +7,6 @@ from s2sym import (
     GeneratorTriple,
     Mat2Z,
     NotGeneratingError,
-    compose,
     dinv,
     dmul,
     dpow,
@@ -19,6 +18,7 @@ from s2sym import (
 )
 from s2sym.discrete import GEN_A, GEN_B, GEN_C, IDENTITY_WORD, ReducedTriple
 from s2sym.intmat import IDENTITY, theta_order
+from continuous import compose
 from oracles import (
     MAT4_IDENTITY,
     admissible_thetas,
@@ -177,7 +177,8 @@ def test_reduce_generators_already_reduced():
 def test_reduce_generators_euclid():
     triple = GeneratorTriple(DElement(2, 0, 0), DElement(3, 0, 0), GEN_C)
     rt = reduce_generators(THETA4, triple)
-    words = rt.words
+    ex = rt.exponents
+    words = (DElement(1, rt.beta1, rt.gamma1), DElement(0, ex.a, ex.c), DElement(0, ex.b, ex.d))
     assert words[0].q == 1 and words[1].q == 0 and words[2].q == 0
     # mutual reachability of the generators proves the subgroups are equal
     assert set(words) <= word_closure(THETA4, triple.words, 12, words)

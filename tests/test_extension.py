@@ -16,15 +16,11 @@ from s2sym import (
     Mat2Z,
     NotAnAutomorphismError,
     NotElasticError,
-    SingularFError,
-    apply_group_auto,
     classify_symmetry,
-    convert_basis,
     enumerate_elastic,
     extend,
     f_factor,
     first_branches,
-    is_algebra_auto,
     lifts,
     make_group,
     r_eps,
@@ -34,9 +30,13 @@ from s2sym import (
     verify_extension,
 )
 import s2sym.extension as extension_module
+from s2sym.autos import apply_group_auto_batch
 from s2sym.extension import _swap
 from s2sym.intmat import IDENTITY
+from continuous import SingularFError, convert_basis, is_algebra_auto, r_eps_at_q
 from oracles import embed, gradient_at_identity, verify_extension_by_expansion
+
+IDENTITY_AUTO = DAutomorphism(1, IDENTITY, 0, 0)
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -51,7 +51,7 @@ def g4():
 
 
 def test_extend_identity(g4):
-    lifted = extend(g4, DAutomorphism.identity())
+    lifted = extend(g4, IDENTITY_AUTO)
     assert lifted.epsilon == 0
     assert lifted.alpha == pytest.approx(1.0, abs=1e-12)
     assert lifted.beta == pytest.approx(0.0, abs=1e-12)
@@ -86,26 +86,28 @@ def test_extend_rejects_non_automorphism(g4):
 @pytest.mark.parametrize("theta", ALL_THETAS)
 @pytest.mark.parametrize("eps", [0, 1])
 def test_r_eps_independent_of_q(theta, eps):
+    # the general-q construction of the reference model, against the shipped q = 1 lift
     g = make_group(theta, 1)
     p = theta_order(theta)
-    base = r_eps(g, eps, 1)
+    shipped = r_eps(g, eps)
+    assert np.array_equal(r_eps_at_q(g, eps, 1), shipped)
     for q in range(1, 2 * p + 1):
         if q % p == 0:
             continue
-        assert np.max(np.abs(r_eps(g, eps, q) - base)) < 1e-10
+        assert np.max(np.abs(r_eps_at_q(g, eps, q) - shipped)) < 1e-10
 
 
 def test_r_eps_singular_at_multiples_of_order(g4):
     p = theta_order(THETA4)
     for q in (p, 2 * p):
         with pytest.raises(SingularFError):
-            r_eps(g4, 0, q)
+            r_eps_at_q(g4, 0, q)
     with pytest.raises(ValueError):
-        r_eps(g4, 0, 0)
+        r_eps_at_q(g4, 0, 0)
 
 
 def test_r_eps_branches_differ(g4):
-    assert np.max(np.abs(r_eps(g4, 0, 1) - r_eps(g4, 1, 1))) > 1e-6
+    assert np.max(np.abs(r_eps(g4, 0) - r_eps(g4, 1))) > 1e-6
 
 
 @pytest.mark.parametrize("theta", ALL_THETAS)
@@ -115,11 +117,11 @@ def test_r_eps_matches_transposed_closed_form(theta, eps):
     g = make_group(theta, 1)
     xi = 1 if eps == 0 else -1
     closed = _swap(eps) @ np.linalg.inv(f_factor(g, float(xi)).T) @ g.Mbar_invT
-    assert np.max(np.abs(r_eps(g, eps, 1) - closed)) < 1e-10
+    assert np.max(np.abs(r_eps(g, eps) - closed)) < 1e-10
 
 
 def test_verify_identity_is_exact(g4):
-    ident = DAutomorphism.identity()
+    ident = IDENTITY_AUTO
     report = verify_extension(g4, ident, extend(g4, ident), 3)
     assert report.passed
     assert report.max_discrepancy < 1e-12
@@ -148,7 +150,7 @@ def test_extension_gradient_matches_algebra_form(g4):
     for phi_d in enumerate_elastic(THETA4, [-1, 0, 2], [-2, 0, 1]):
         lifted = extend(g4, phi_d)
         grad = gradient_at_identity(g4, lifted)
-        alg = is_algebra_auto(grad)
+        alg = is_algebra_auto(grad, g4.k)
         assert alg is not None
         assert alg.epsilon == lifted.epsilon
         assert alg.alpha == pytest.approx(lifted.alpha, abs=1e-6)
@@ -160,8 +162,9 @@ def test_extension_gradient_matches_algebra_form(g4):
 def test_zeta_equals_third_coordinate_of_lifted_a(g4):
     for phi_d in enumerate_elastic(THETA4, [0, 1], [0, -1]):
         lifted = extend(g4, phi_d)
-        image = apply_group_auto(g4, lifted, convert_basis(g4, embed(g4, DElement(1, 0, 0))))
-        assert image.coords[2] == pytest.approx(phi_d.zeta, abs=1e-12)
+        point = convert_basis(g4, embed(g4, DElement(1, 0, 0))).array()
+        image = apply_group_auto_batch(lifted, point[None, :])[0]
+        assert image[2] == pytest.approx(phi_d.zeta, abs=1e-12)
 
 
 def _assert_probe_matches_extend(g, phi_d):
@@ -175,7 +178,7 @@ def _assert_probe_matches_extend(g, phi_d):
 
 
 def test_uniqueness_probe_identity(g4):
-    probe = _assert_probe_matches_extend(g4, DAutomorphism.identity())
+    probe = _assert_probe_matches_extend(g4, IDENTITY_AUTO)
     assert probe.epsilon == 0
     assert probe.alpha == pytest.approx(1.0, abs=1e-12)
     assert probe.beta == pytest.approx(0.0, abs=1e-12)
@@ -335,14 +338,14 @@ def test_verify_memory_stays_flat_in_the_box():
 
 
 def test_verify_rejects_negative_box(g4):
-    phi_d = DAutomorphism.identity()
+    phi_d = IDENTITY_AUTO
     with pytest.raises(InvalidParametersError, match="box must be nonnegative"):
         verify_extension(g4, phi_d, extend(g4, phi_d), -1)
 
 
 @pytest.mark.parametrize("box", [extension_module.BOX_LIMIT + 1, 5000, 10**6])
 def test_verify_refuses_boxes_above_box_limit_before_allocating(g4, box):
-    phi_d = DAutomorphism.identity()
+    phi_d = IDENTITY_AUTO
     lifted = extend(g4, phi_d)
     tracemalloc.start()
     try:

@@ -3,8 +3,9 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from s2sym import InvalidThetaError, Mat2Z, hcf_all, mat2z_pow, theta_order, theta_power
+from s2sym import InvalidThetaError, Mat2Z, hcf_all, theta_order, theta_power
 from s2sym.intmat import IDENTITY, MINUS_IDENTITY, int_text
+from oracles import mat2z_pow
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
