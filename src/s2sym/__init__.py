@@ -1,8 +1,9 @@
 """Symmetry classification for uniform discrete subgroups of the solvable group S2.
 
-The integer layers (intmat, discrete, symmetry) load with the package. The
-float layers (liegroup, autos, extension), and with them numpy, load on the
-first access to one of their names, so the integer commands run without numpy.
+The integer layers (intmat, discrete, symmetry) and the plain-float branch
+data (branch) load with the package. The float layers (liegroup, autos,
+extension), and with them numpy, load on the first access to one of their
+names, so every command but a lifting extend runs without numpy.
 The package ships only what the commands, the survey script and the benchmark
 run: the decisions, the lift and its lattice check. The rest of the paper's
 continuous model (group law, exponential map, brackets, algebra
@@ -20,6 +21,7 @@ from .errors import (
     NotGeneratingError,
 )
 from .intmat import Mat2Z, Vec2Z, hcf_all, theta_order, theta_power, theta_powers
+from .branch import branch_k, first_branches
 from .discrete import (
     DElement,
     GeneratorTriple,
@@ -55,7 +57,7 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "liegroup": ("S2Group", "branch_k", "f_factor", "first_branches", "make_group", "phi_of"),
+        "liegroup": ("S2Group", "f_factor", "make_group"),
         "autos": ("GroupAutoParams",),
         "extension": (
             "ExtensionReport", "UniquenessProbe", "extend", "r_eps", "uniqueness_probe",

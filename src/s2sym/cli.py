@@ -29,9 +29,11 @@ and s(q) = s(q mod p) are tables of one period (intmat.theta_powers,
 symmetry.shift_prefix) read once per q slice, and each (q, m) row is written
 at once, so memory stays O(box).
 
-Only classify-theta and extend need the float layers (liegroup, extension,
-numpy). They import them inside the command, after theta has been validated,
-so check-generators, lattice-points and every rejected theta run without numpy.
+Only an extend that lifts needs the float layers (liegroup, extension,
+numpy). It imports them once theta, the branch (exit 2) and then the
+automorphism (exit 3) have passed their checks, so every other command,
+classify-theta (k and S from branch) too, and every refusal of theta, the
+branch or the automorphism run without numpy.
 """
 
 from __future__ import annotations
@@ -42,16 +44,12 @@ import re
 import sys
 from functools import partial
 
+from .branch import branch_data, branch_k, dislocation_density, first_branches
 from .errors import InternalInconsistencyError, NotAnAutomorphismError, NotElasticError
 from .intmat import Mat2Z, theta_order, theta_powers
 from .discrete import DElement, GeneratorTriple
-from .symmetry import (
-    DAutomorphism,
-    centralizer,
-    classify_symmetry,
-    reversing_group,
-    shift_prefix,
-)
+from .symmetry import NOT_LIFTING, DAutomorphism, centralizer, check_d_automorphism, classify_symmetry
+from .symmetry import lifts, reversing_group, shift_prefix
 
 JSON_FORMAT = "json"
 TEXT_FORMAT = "text"
@@ -127,12 +125,10 @@ def _parse_apply(text: str) -> DAutomorphism:
 
 def cmd_classify_theta(theta: Mat2Z, n: int | None, fmt: str) -> int:
     p = theta_order(theta)
-    from .liegroup import branch_k, first_branches, make_group
-
     branches = first_branches(theta.trace(), 2)
     if n is None:
         n = branches[0]
-    g = make_group(theta, n)
+    k, A = branch_data(theta, n)
     sym = centralizer(theta)
     rev = reversing_group(theta)
     report = {
@@ -144,14 +140,14 @@ def cmd_classify_theta(theta: Mat2Z, n: int | None, fmt: str) -> int:
             {"n": bn, "k": branch_k(theta.trace(), bn)} for bn in branches
         ],
         "n": n,
-        "k": g.k,
+        "k": k,
         "S_label": sym.label,
         "S_order": sym.order,
         "S_elements": None if sym.elements is None else [m.rows() for m in sym.elements],
         "R_label": rev.label,
         "R_order": rev.order,
         "R_elements": None if rev.elements is None else [m.rows() for m in rev.elements],
-        "dislocation_density": g.S.tolist(),
+        "dislocation_density": dislocation_density(A),
     }
     _emit(report, fmt)
     return 0
@@ -191,11 +187,15 @@ def cmd_check_generators(theta: Mat2Z, triple: GeneratorTriple, fmt: str) -> int
 
 def cmd_extend(theta: Mat2Z, n: int | None, phi_d: DAutomorphism, box: int, fmt: str) -> int:
     theta_order(theta)
-    from .extension import extend, uniqueness_probe, verify_extension
-    from .liegroup import first_branches, make_group
-
     if n is None:
         n = first_branches(theta.trace(), 1)[0]
+    branch_data(theta, n)  # its exit 2 precedes the exit 3 of the checks on phi_d
+    check_d_automorphism(theta, phi_d)
+    if not lifts(theta, phi_d.zeta, phi_d.chi):
+        raise NotElasticError(NOT_LIFTING)
+    from .extension import extend, uniqueness_probe, verify_extension
+    from .liegroup import make_group
+
     g = make_group(theta, n)
     lifted = extend(g, phi_d)
     check = verify_extension(g, phi_d, lifted, box)

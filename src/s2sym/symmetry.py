@@ -140,7 +140,12 @@ def _d_automorphism_or_reason(
 ) -> tuple[DAutomorphism | None, str | None]:
     g1, g2, g3 = triple.words
     if g2.q != 0 or g3.q != 0:
-        return None, "images of B and C do not commute (they carry powers of A)"
+        # g2 g3 = g3 g2 iff theta^{-q3} v2 + v3 = theta^{-q2} v3 + v2 (the rule of discrete.dmul)
+        powers = theta_powers(theta)
+        t2, t3 = powers[-g3.q % len(powers)].apply((g2.m, g2.n)), powers[-g2.q % len(powers)].apply((g3.m, g3.n))
+        if (t2[0] + g3.m, t2[1] + g3.n) != (t3[0] + g2.m, t3[1] + g2.n):
+            return None, "images of B and C do not commute (they carry powers of A)"
+        return None, f"images of B and C commute but carry A^{int_text(g2.q)} and A^{int_text(g3.q)}, need A^0"
     if g1.q not in (1, -1):
         return None, f"image of A carries A^{g1.q}, need exponent +-1"
     chi = Mat2Z(g2.m, g3.m, g2.n, g3.n)

@@ -4,6 +4,7 @@ The package decides everything exactly and lifts each automorphism of D with
 extension.extend; nothing it runs needs the rest of the continuous model.
 This module holds that rest, built on an s2sym.liegroup instance g:
 
+  * the one-parameter subgroup phi(x3) = cos(k x3) I + (sin(k x3)/k) A;
   * points tagged with their frame, the group product and inverse in both
     frames, the right-invariant lattice fields, brackets and the rotation-frame
     structure constants, the exponential map and the two-exponential split;
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from s2sym import GroupAutoParams, S2Group, f_factor, phi_of, theta_order, theta_power
+from s2sym import GroupAutoParams, S2Group, f_factor, theta_order, theta_power
 from s2sym.autos import _DEGENERATE_TOL
 from s2sym.extension import _swap
 
@@ -65,6 +66,12 @@ def epoint(x1, x2, x3) -> GroupPoint:
 
 def fpoint(u1, u2, u3) -> GroupPoint:
     return GroupPoint((u1, u2, u3), BASIS_F)
+
+
+def phi_of(g: S2Group, x3: float) -> np.ndarray:
+    """The one-parameter subgroup phi(x3) = cos(k x3) I + (sin(k x3)/k) A."""
+    t = g.k * x3
+    return math.cos(t) * np.eye(2) + (math.sin(t) / g.k) * g.A
 
 
 def frame_matrix(g: S2Group) -> np.ndarray:

@@ -29,7 +29,7 @@ from s2sym import (
 from s2sym.autos import apply_group_auto_batch
 from s2sym.discrete import GEN_A, GEN_B, GEN_C
 from s2sym.intmat import IDENTITY, MINUS_IDENTITY
-from s2sym.liegroup import first_branches
+from s2sym.branch import first_branches
 from continuous import (
     compose,
     convert_basis,

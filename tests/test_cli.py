@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from s2sym import InternalInconsistencyError, cli
 from s2sym.cli import main
 from s2sym.intmat import MINUS_IDENTITY, Mat2Z
-from s2sym.symmetry import DAutomorphism, enumerate_elastic
+from s2sym.symmetry import DAutomorphism, centralizer, enumerate_elastic, reversing_group
 from oracles import admissible_thetas, lattice_records_by_word
 
 
@@ -129,6 +130,20 @@ def test_check_generators_inelastic(capsys):
     assert report["generates"] is True
     assert report["class"] == "inelastic"
     assert report["automorphism"] is None
+
+
+def test_check_generators_commuting_images_carrying_a(capsys):
+    # g2 = A and g3 = A^2 commute, so the reason names their A-exponents instead
+    code, out, err = run_cli(
+        capsys,
+        "check-generators",
+        "--theta", "0,1,-1,0",
+        "--g1", "0,1,0", "--g2", "1,0,0", "--g3", "2,0,0",
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["generates"] is True and report["class"] == "inelastic"
+    assert report["reason"] == "images of B and C commute but carry A^1 and A^2, need A^0"
 
 
 def test_check_generators_malformed_word(capsys):
@@ -372,21 +387,71 @@ def test_extend_refuses_values_beyond_float_range(capsys, theta, chi, shift, box
     assert err == f"s2sym: {message} does not fit in a float\n"
 
 
+# admissible (trace 0, det 1), but an entry has 401 digits
+HUGE_ENTRY = f"{10**200},1,{-(10**400 + 1)},{-(10**200)}"
+# P theta P^-1 for theta = ((0, 1), (-1, 0)) and P = ((1, 10^40), (0, 1)): its float frame matrix Mbar is singular
+SINGULAR_FRAME = f"{-(10**40)},{10**80 + 1},-1,{10**40}"
+CLASSIFY = ("classify-theta",)
+EXTEND = ("extend", "--zeta", "1", "--chi", "1,0,0,1")
+
+
 @pytest.mark.parametrize(
-    "theta, message",
+    "extra, theta, message",
     [
-        # admissible (trace 0, det 1), but an entry has 401 digits
-        (f"{10**200},1,{-(10**400 + 1)},{-(10**200)}", "theta does not fit in a float"),
-        # a conjugate of ((0, 1), (-1, 0)) whose float frame matrix Mbar is singular
-        (f"{-(10**40)},{10**80 + 1},-1,{10**40}", "theta is too large for the float frame: Mbar is singular"),
+        pytest.param(CLASSIFY, HUGE_ENTRY, "theta does not fit in a float", id="extra0-401-digit-entry"),
+        pytest.param(EXTEND, HUGE_ENTRY, "theta does not fit in a float", id="extra1-401-digit-entry"),
+        pytest.param(
+            EXTEND, SINGULAR_FRAME, "theta is too large for the float frame: Mbar is singular", id="extra1-singular-frame"
+        ),
     ],
-    ids=("401-digit-entry", "singular-frame"),
 )
-@pytest.mark.parametrize("extra", [("classify-theta",), ("extend", "--zeta", "1", "--chi", "1,0,0,1")])
 def test_theta_beyond_float_range_exits_two(capsys, extra, theta, message):
     code, out, err = run_cli(capsys, extra[0], "--theta", theta, *extra[1:])
     assert code == 2 and out == ""
     assert err == f"s2sym: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "theta, extra, code, message",
+    [
+        ("0,1,-1,0", ("--branch", "2"), 2, "branch n=2 not admissible"),
+        ("-1,0,0,-1", ("--branch", str(10**18 + 1)), 2, "too large: |k| > K_LIMIT"),
+        (HUGE_ENTRY, (), 2, "theta does not fit in a float"),
+        # the frame is built only for an automorphism that lifts
+        (SINGULAR_FRAME, (), 3, "not an automorphism"),
+    ],
+    ids=("bad-branch", "k-limit", "401-digit-entry", "singular-frame"),
+)
+def test_extend_input_errors_precede_domain_rejection(capsys, theta, extra, code, message):
+    # chi = ((1, 1), (0, 1)) is an automorphism only for theta = -I, where it does not lift
+    argv = ("extend", "--theta", theta, *extra, "--zeta", "1", "--chi", "1,1,0,1")
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "") and len(err.splitlines()) == 1 and message in err
+
+
+def test_classify_theta_answers_past_the_float_frame(capsys):
+    # classify-theta builds no frame: S and R are those of the standard theta conjugated by P
+    standard, a = Mat2Z(0, 1, -1, 0), 10**40
+    P, P_inv = Mat2Z(1, a, 0, 1), Mat2Z(1, -a, 0, 1)
+    code, out, err = run_cli(capsys, "classify-theta", "--theta", SINGULAR_FRAME)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+
+    def conjugated(m):
+        return [list(row) for row in (P @ m @ P_inv).rows()]
+
+    assert report["theta"] == conjugated(standard) == [[-a, a * a + 1], [-1, a]]
+    for key, group in (("S", centralizer), ("R", reversing_group)):
+        want = group(standard)
+        assert (report[f"{key}_label"], report[f"{key}_order"]) == (want.label, want.order)
+        assert sorted(report[f"{key}_elements"]) == sorted(conjugated(m) for m in want.elements)
+    assert report["n"] == 1 and report["k"] == float(format(math.pi / 2, ".12g"))
+    # S = k ((-b, h, 0), (h, c, 0), (0, 0, 0)) with h = (a - d) / 2 = -10^40
+    assert report["dislocation_density"] == [
+        [pytest.approx(-math.pi / 2 * 1e80, rel=1e-11), pytest.approx(-math.pi / 2 * 1e40, rel=1e-11), 0],
+        [pytest.approx(-math.pi / 2 * 1e40, rel=1e-11), pytest.approx(-math.pi / 2, rel=1e-11), 0],
+        [0, 0, 0],
+    ]
 
 
 def test_extend_refuses_box_above_box_limit(capsys):

@@ -4,8 +4,9 @@ Every case runs s2sym.cli.main in-process and must reproduce, byte for
 byte, the exit code, the stdout and (for a nonzero exit) the first stderr
 line recorded in golden_cli.json. An exception escaping main is recorded
 as the interpreter would report it: exit 1 and a traceback on stderr.
-The integer commands and the input errors must also reproduce it in an
-interpreter that cannot import numpy.
+Every command but a lifting extend (check-generators, lattice-points,
+classify-theta, and every input error and domain rejection) must also
+reproduce it in an interpreter that cannot import numpy.
 
 The transcript is recorded from the program, never written by hand:
 
@@ -110,8 +111,11 @@ def _python(script: str, *args: str, stdin: str = "") -> str:
 
 def test_integer_commands_match_transcript_without_numpy(transcript):
     entries = [
-        e for e in transcript if e["argv"][0] in ("check-generators", "lattice-points") or e["exit"] == 2
+        e
+        for e in transcript
+        if e["argv"][0] in ("check-generators", "lattice-points", "classify-theta") or e["exit"] in (2, 3)
     ]
+    assert {e["argv"][0] for e in entries if e["exit"] == 3} == {"extend"}
     script = (
         "import json, sys\n"
         "sys.modules['numpy'] = None  # importing numpy now raises ImportError\n"
@@ -122,15 +126,33 @@ def test_integer_commands_match_transcript_without_numpy(transcript):
     assert json.loads(out) == entries
 
 
-def test_check_generators_loads_no_float_layer():
-    argv = ["check-generators", "--theta", "0,1,-1,0", "--g1", "1,0,0", "--g2", "0,1,0", "--g3", "0,0,1"]
+def _float_layers_loaded(argv: list[str], code: int) -> str:
+    """The float layers, numpy among them, that a run of argv with exit code `code` leaves loaded."""
     script = (
         "import sys\n"
         "from test_cli_golden import run\n"
-        "assert run(sys.argv[1:])['exit'] == 0\n"
+        f"assert run(sys.argv[1:])['exit'] == {code}\n"
         "print([m for m in ('numpy', 's2sym.liegroup', 's2sym.autos', 's2sym.extension') if m in sys.modules])"
     )
-    assert _python(script, *argv) == "[]\n"
+    return _python(script, *argv)
+
+
+def test_check_generators_loads_no_float_layer():
+    argv = ["check-generators", "--theta", "0,1,-1,0", "--g1", "1,0,0", "--g2", "0,1,0", "--g3", "0,0,1"]
+    assert _float_layers_loaded(argv, 0) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify-theta", "--theta", "0,1,-1,0"], 0),
+        # a theta = -I automorphism of D that does not lift: a domain rejection
+        (["extend", "--theta", "-1,0,0,-1", "--zeta", "1", "--chi", "1,1,0,1"], 3),
+    ],
+    ids=("classify-theta", "extend-not-lifting"),
+)
+def test_numpy_free_command_loads_no_float_layer(argv, code):
+    assert _float_layers_loaded(argv, code) == "[]\n"
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from s2sym import (
     extend,
     first_branches,
     make_group,
-    phi_of,
     verify_extension,
 )
-from s2sym.liegroup import K_LIMIT
+from s2sym import cli
+from s2sym.branch import K_LIMIT, branch_data
 from continuous import (
     bracket,
     compose,
@@ -28,9 +28,10 @@ from continuous import (
     frame_matrix,
     inverse,
     lattice_fields,
+    phi_of,
     two_exp_decompose,
 )
-from oracles import rk4_flow, structure_constants_fd
+from oracles import admissible_thetas, rk4_flow, structure_constants_fd
 
 THETA4 = Mat2Z(0, 1, -1, 0)
 THETA3 = Mat2Z(0, 1, -1, -1)
@@ -307,6 +308,31 @@ def test_structure_constant_example(g4):
 
 # n is admissible when it is coprime to this modulus (the order of theta)
 BRANCH_MODULUS = {-2: 2, -1: 3, 0: 4, 1: 6}
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def test_branch_data_is_the_frame_data_bit_for_bit():
+    # every admissible theta with entries in [-6, 6], every n in [-40, 40] coprime to p
+    pairs = [
+        (theta, n)
+        for theta in admissible_thetas(6)
+        for n in range(-40, 41)
+        if math.gcd(n, BRANCH_MODULUS[theta.trace()]) == 1
+    ]
+    assert len(pairs) == 2040
+    for theta, n in pairs:
+        k, A = branch_data(theta, n)
+        g = make_group(theta, n)
+        assert k.hex() == g.k.hex() and _hex(A) == _hex(g.A), (theta, n)
+        assert _hex(cli.dislocation_density(A)) == _hex(g.S), (theta, n)
+        # the numpy arithmetic of A = (k / sin k) (theta - cos(k) I), entry for entry
+        if theta != THETA2:
+            h = 0.5 * (theta.a - theta.d)
+            scale = k / math.sin(branch_k(theta.trace(), n % BRANCH_MODULUS[theta.trace()]))
+            assert _hex(A) == _hex(scale * np.array([[h, theta.b], [theta.c, -h]], dtype=float)), (theta, n)
 
 
 def largest_branch(theta):

@@ -27,7 +27,8 @@ EXPORTS = {
     "errors": "InternalInconsistencyError InvalidParametersError InvalidThetaError "
     "NotAnAutomorphismError NotElasticError NotGeneratingError",
     "intmat": "Mat2Z Vec2Z hcf_all theta_order theta_power theta_powers",
-    "liegroup": "S2Group branch_k f_factor first_branches make_group phi_of",
+    "branch": "branch_k first_branches",
+    "liegroup": "S2Group f_factor make_group",
     "autos": "GroupAutoParams",
     "discrete": "DElement GeneratorTriple GenerationCertificate ReducedTriple dinv dmul dpow "
     "embed_int generates_d reduce_generators tau_vectors",
@@ -72,7 +73,7 @@ REMOVED = (
     "SingularFError mat2z_pow as_d_automorphism "
     "BASIS_E BASIS_F GroupPoint bracket compose convert_basis epoint exp_map f_structure_constants "
     "fpoint inverse lattice_fields two_exp_decompose "
-    "LieAlgebraAuto apply_group_auto group_auto_from_algebra is_algebra_auto pts_factor"
+    "LieAlgebraAuto apply_group_auto group_auto_from_algebra is_algebra_auto pts_factor phi_of"
 ).split()
 
 

@@ -186,6 +186,18 @@ def test_as_d_automorphism_rejects_non_unimodular():
     assert _d_automorphism_or_reason(THETA4, triple)[0] is None
 
 
+@given(theta=st.sampled_from((THETA2, THETA3, THETA4, THETA6)), g2=words, g3=words)
+@settings(max_examples=300)
+def test_reason_for_images_carrying_a_says_whether_they_commute(theta, g2, g3):
+    if g2.q == 0 and g3.q == 0:
+        g2 = DElement(1, g2.m, g2.n)
+    reason = _d_automorphism_or_reason(theta, GeneratorTriple(GEN_A, g2, g3))[1]
+    if dmul(theta, g2, g3) == dmul(theta, g3, g2):
+        assert reason == f"images of B and C commute but carry A^{g2.q} and A^{g3.q}, need A^0"
+    else:
+        assert reason == "images of B and C do not commute (they carry powers of A)"
+
+
 def test_check_d_automorphism_errors():
     with pytest.raises(NotAnAutomorphismError):
         check_d_automorphism(THETA4, DAutomorphism(2, IDENTITY, 0, 0))
